@@ -722,16 +722,6 @@ class BatchEvaluator:
         """Hit/miss/size counters of the compiled-provenance cache."""
         return self._compiled.info()
 
-    @property
-    def cache_stats(self) -> Dict[str, int]:
-        """Deprecated alias for :meth:`cache_info` (kept as a thin view).
-
-        The canonical surface is the process-wide metrics registry
-        (``repro.obs.get_registry().snapshot()``, counters
-        ``batch.compile_cache.hits`` / ``batch.compile_cache.misses``).
-        """
-        return self.cache_info()
-
     def clear_cache(self) -> None:
         """Drop every cached compilation (counters are kept)."""
         self._compiled.clear()
@@ -1059,6 +1049,8 @@ class BatchEvaluator:
                 "support sparse delta evaluation; use mode='dense'"
             )
         registry = get_registry()
+        # Scans every scenario, so it is computed at most once per call.
+        touched: Optional[float] = None
         chosen = "dense"
         if mode in ("sparse", "factored"):
             chosen = mode
@@ -1087,9 +1079,11 @@ class BatchEvaluator:
                     chosen = "sparse"
         registry.inc(f"batch.mode.{chosen}")
         if tracing_enabled():
+            if touched is None:
+                touched = batch.touched_fraction()
             current_span().update(
                 {
-                    "touched_fraction": batch.touched_fraction(),
+                    "touched_fraction": touched,
                     "mode": chosen,
                     "backend": backend.name,
                 }

@@ -287,9 +287,9 @@ class CobraSession:
     # -- step 5: assignment and comparison -------------------------------------------
 
     def _compiled(self) -> Tuple[CompiledProvenanceSet, CompiledProvenanceSet]:
-        # The backend decides the compiled form: CompiledProvenanceSet for the
-        # real backend (unchanged fast path), a numpy semiring kernel or the
-        # generic fallback otherwise — all sharing the same surface.
+        # The backend decides the compiled form: the numpy compiled set of
+        # the numeric semirings or the generic fallback — both sharing the
+        # same surface.
         if self._compiled_full is None:
             with obs_trace("session.compile", which="full"):
                 self._compiled_full = self._backend.compile(self._provenance)

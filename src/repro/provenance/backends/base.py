@@ -33,9 +33,10 @@ class CompiledSemiringSet(ABC):
     """A provenance set compiled for repeated evaluation in one semiring.
 
     Mirrors the surface of
-    :class:`~repro.provenance.valuation.CompiledProvenanceSet` (which *is*
-    the real backend's compiled form) so the session and batch layers can
-    dispatch without caring which backend produced the compilation.
+    :class:`~repro.provenance.backends.numeric.CompiledNumericSet` (the one
+    compiled form of every numeric semiring) so the session and batch
+    layers can dispatch without caring which backend produced the
+    compilation.
     """
 
     #: Empty so slotted compilations (every numeric kernel) stay dict-free.

@@ -7,9 +7,9 @@ but every consumer then re-pays compilation (one pass over every monomial)
 — and PR 4's process pool re-pickled the whole compiled set into every
 worker.  This module persists the *compiled* form instead:
 
-* one binary file holding the width-group arrays of a
-  :class:`~repro.provenance.valuation.CompiledProvenanceSet` (or a numeric
-  backend's compiled set) **plus** the pre-built
+* one binary file holding the width-group arrays of a numeric compiled set
+  (:class:`~repro.provenance.backends.numeric.CompiledNumericSet`: real,
+  tropical or bool) **plus** the pre-built
   :class:`~repro.provenance.incidence.VariableIncidence` CSR arrays
   (``ptr``/``positions``/``exponents``) of its sparse delta index;
 * :func:`write_store` lays them out as 64-byte-aligned raw blocks behind a
@@ -56,17 +56,24 @@ import json
 import os
 import struct
 import zlib
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from repro.provenance.backends.base import CompiledSemiringSet
     from repro.provenance.valuation import FingerprintCache
 
 from repro.exceptions import SerializationError
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import trace
+from repro.provenance.backends.numeric import (
+    CompiledNumericSet,
+    CompiledProvenanceSet,
+    _CompiledBooleanSet,
+    _CompiledTropicalSet,
+    _SegmentGroup,
+)
+from repro.provenance.incidence import VariableIncidence
 from repro.provenance.serialization import PathLike, _atomic_write_bytes
 from repro.resilience import fault_point, record_degradation
 
@@ -115,8 +122,9 @@ def _compiled_blocks(compiled: Any) -> List[Tuple[str, np.ndarray]]:
         ("constant", np.ascontiguousarray(compiled._constant, dtype=_FLOAT_DTYPE))
     ]
     delta_index = compiled._delta_groups()
-    for i, (group, entry) in enumerate(zip(compiled._groups, delta_index)):
-        incidence, monomial_rows = entry[0], entry[1]
+    for i, (group, (incidence, monomial_rows, _ends)) in enumerate(
+        zip(compiled._groups, delta_index)
+    ):
         blocks.extend(
             (
                 (f"g{i}.coefficients", np.ascontiguousarray(group.coefficients, dtype=_FLOAT_DTYPE)),
@@ -136,9 +144,9 @@ def _compiled_blocks(compiled: Any) -> List[Tuple[str, np.ndarray]]:
 def write_store(compiled: Any, path: PathLike) -> str:
     """Persist ``compiled`` as a mmap-able store at ``path`` (atomically).
 
-    ``compiled`` must be one of the numeric compiled forms — a real
-    :class:`~repro.provenance.valuation.CompiledProvenanceSet` or a
-    tropical/bool backend set; its ``backend_name`` attribute names which.
+    ``compiled`` must be a numeric compiled set
+    (:class:`~repro.provenance.backends.numeric.CompiledNumericSet`); its
+    ``backend_name`` attribute names the semiring.
     Returns ``path`` (as a string) for chaining.
     """
     backend_name = getattr(compiled, "backend_name", None)
@@ -163,22 +171,28 @@ def write_store(compiled: Any, path: PathLike) -> str:
             }
             cursor += array.nbytes
 
+        # Two header fields differ by backend, frozen by format version 2:
+        # real stores flag each group's higher powers and record
+        # ``num_constants`` as 0; the other backends record the constant
+        # count and no flags.  Readers need neither (size() counts the
+        # constant block, the flag is recomputed when absent); they are
+        # kept so every backend's stores stay byte-identical across builds.
+        real = backend_name == "real"
         groups_meta = []
+        monomials = 0
         for group in compiled._groups:
-            meta: Dict[str, object] = {
-                "monomials": int(len(group.coefficients)),
-            }
-            has_higher = getattr(group, "has_higher_powers", None)
-            if has_higher is not None:
-                meta["has_higher_powers"] = bool(has_higher)
+            meta: Dict[str, object] = {"monomials": len(group.coefficients)}
+            if real:
+                meta["has_higher_powers"] = group.has_higher_powers
             groups_meta.append(meta)
+            monomials += len(group.coefficients)
 
         payload = {
             "backend": backend_name,
             "fingerprint": compiled.source_fingerprint,
             "keys": [list(key) for key in compiled.keys],
             "variables": list(compiled.variables),
-            "num_constants": int(getattr(compiled, "_num_constants", 0)),
+            "num_constants": 0 if real else compiled.size() - monomials,
             "groups": groups_meta,
             "blocks": directory,
         }
@@ -340,36 +354,23 @@ def _as_key(item: object) -> object:
     return tuple(_as_key(part) for part in item) if isinstance(item, list) else item
 
 
-def _store_classes() -> Dict[str, Tuple[type, type]]:
-    # Imported lazily: valuation/backends import is cheap but would be a
-    # cycle at module import time (valuation lazily imports this module).
-    from repro.provenance.backends.numeric import (
-        _CompiledBooleanSet,
-        _CompiledTropicalSet,
-        _SegmentGroup,
-    )
-    from repro.provenance.valuation import CompiledProvenanceSet, _MonomialGroup
-
-    return {
-        "real": (CompiledProvenanceSet, _MonomialGroup),
-        "tropical": (_CompiledTropicalSet, _SegmentGroup),
-        "bool": (_CompiledBooleanSet, _SegmentGroup),
-    }
+#: The compiled-set class each store ``backend`` name reopens as.
+_STORE_CLASSES: Dict[str, Type[CompiledNumericSet]] = {
+    cls.backend_name: cls
+    for cls in (CompiledProvenanceSet, _CompiledTropicalSet, _CompiledBooleanSet)
+}
 
 
-def _open_store(path: str) -> "CompiledSemiringSet":
-    from repro.provenance.incidence import VariableIncidence
-
+def _open_store(path: str) -> CompiledNumericSet:
     fault_point("store.open", path=path)
     header = read_store_header(path)
     backend_name = header.get("backend")
-    classes = _store_classes()
-    if backend_name not in classes:
+    if backend_name not in _STORE_CLASSES:
         raise SerializationError(
             f"{path}: unknown compiled-store backend {backend_name!r} "
-            f"(this build reads {sorted(classes)})"
+            f"(this build reads {sorted(_STORE_CLASSES)})"
         )
-    set_class, group_class = classes[backend_name]
+    set_class = _STORE_CLASSES[backend_name]
     block = _BlockReader(path, header["blocks"], _data_start(path))
 
     compiled = set_class.__new__(set_class)
@@ -379,37 +380,27 @@ def _open_store(path: str) -> "CompiledSemiringSet":
     compiled._constant = block("constant")
     compiled._fingerprint = header.get("fingerprint")
     compiled._store_path = os.path.abspath(path)
-    if hasattr(compiled, "_num_constants"):
-        compiled._num_constants = int(header.get("num_constants", 0))
 
     groups = []
     delta_index = []
     for i, meta in enumerate(header.get("groups", [])):
-        group = group_class.__new__(group_class)
-        group.coefficients = block(f"g{i}.coefficients")
-        group.indices = block(f"g{i}.indices")
-        group.exponents = block(f"g{i}.exponents")
-        group.segment_starts = block(f"g{i}.segment_starts")
-        group.segment_rows = block(f"g{i}.segment_rows")
-        if hasattr(group_class, "has_higher_powers") or "has_higher_powers" in getattr(
-            group_class, "__slots__", ()
-        ):
-            group.has_higher_powers = bool(meta.get("has_higher_powers", False))
+        group = _SegmentGroup(
+            block(f"g{i}.coefficients"),
+            block(f"g{i}.indices"),
+            block(f"g{i}.exponents"),
+            block(f"g{i}.segment_starts"),
+            block(f"g{i}.segment_rows"),
+            meta.get("has_higher_powers"),
+        )
         groups.append(group)
         incidence = VariableIncidence(
             block(f"g{i}.inc.ptr"),
             block(f"g{i}.inc.positions"),
             block(f"g{i}.inc.exponents"),
         )
-        monomial_rows = block(f"g{i}.monomial_rows")
-        if backend_name == "real":
-            delta_index.append((incidence, monomial_rows))
-        else:
-            num_monomials = int(meta["monomials"])
-            ends = np.append(
-                group.segment_starts[1:], num_monomials
-            ).astype(np.intp)
-            delta_index.append((incidence, monomial_rows, ends))
+        delta_index.append(
+            (incidence, block(f"g{i}.monomial_rows"), group.segment_ends())
+        )
     compiled._groups = groups
     compiled._delta_index = tuple(delta_index)
     compiled._delta_baseline = []
@@ -434,14 +425,14 @@ def _store_cache() -> "FingerprintCache":
     return _STORE_CACHE
 
 
-def open_store(path: PathLike, cached: bool = True) -> "CompiledSemiringSet":
+def open_store(path: PathLike, cached: bool = True) -> CompiledNumericSet:
     """Open the compiled store at ``path`` as a mmap-backed compiled set.
 
-    The returned object is the exact compiled class the store's backend
-    produces (``CompiledProvenanceSet`` for ``"real"``, the tropical/bool
-    kernels otherwise) with every array viewing the read-only mapped file —
-    opening is O(header), not O(monomials), and concurrent processes share
-    one page-cache copy of the data.
+    The returned object is the compiled-set class of the store's backend
+    (``CompiledProvenanceSet`` for ``"real"``, the tropical/bool members of
+    the same family otherwise) with every array viewing the read-only
+    mapped file — opening is O(header), not O(monomials), and concurrent
+    processes share one page-cache copy of the data.
 
     ``cached=True`` (default) consults the process-wide store cache, keyed
     by ``(absolute path, mtime_ns, size)`` so a rewritten file is re-opened;
@@ -459,7 +450,7 @@ def open_store(path: PathLike, cached: bool = True) -> "CompiledSemiringSet":
     path = os.fspath(path)
     stat = os.stat(path)
 
-    def build() -> "CompiledSemiringSet":
+    def build() -> CompiledNumericSet:
         with trace("store.open", path=os.path.basename(path)) as span:
             compiled = _open_store(path)
             span.update(

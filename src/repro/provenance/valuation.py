@@ -7,22 +7,29 @@ This module provides:
 * :class:`Valuation` — an immutable mapping from variable names to numbers,
   with convenience constructors for the scenarios of the paper (e.g. "scale
   the March price variables by 0.8");
-* :class:`CompiledPolynomial` / :class:`CompiledProvenanceSet` — a
-  numpy-backed compiled form of polynomials that makes repeated assignment
-  cheap; the ratio between evaluating the full and the compressed compiled
-  provenance is the *assignment speedup* the demo reports.
+* :class:`CompiledProvenanceSet` — provenance compiled to flat numpy
+  arrays in the counting semiring, which makes repeated assignment cheap;
+  the ratio between evaluating the full and the compressed compiled
+  provenance is the *assignment speedup* the demo reports.  It is the real
+  member of the one compiled-set family every numeric semiring shares
+  (:mod:`repro.provenance.backends.numeric`), re-exported here;
+* :class:`CompiledPolynomial` — a one-key view over that class for a single
+  polynomial;
+* :class:`FingerprintCache` — the LRU keyed by provenance fingerprints that
+  the compile, trajectory and store caches share.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from typing import (
+    TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Hashable,
     Iterable,
     Iterator,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -32,33 +39,21 @@ from typing import (
 
 import numpy as np
 
-from repro.exceptions import MissingValuationError
-from repro.obs.tracer import trace
-from repro.provenance.backends.base import CompiledSemiringSet
-from repro.provenance.incidence import (
-    VariableIncidence,
-    expand_segment_rows,
-)
+from repro.provenance.backends.base import BackendLike, SemiringBackend
+from repro.provenance.backends.numeric import CompiledProvenanceSet
 from repro.provenance.polynomial import Number, Polynomial, ProvenanceSet
 
-T = TypeVar("T")
+if TYPE_CHECKING:
+    from repro.obs.metrics import Counter
 
-#: One sparse scenario: ``(changed column indices, new values)`` relative to
-#: a shared base vector in a compiled set's variable order.
-DeltaPlanRow = Tuple[np.ndarray, np.ndarray]
+T = TypeVar("T")
 
 #: Sentinel distinguishing "key absent" from a legitimately cached falsy
 #: value (``None``, ``0``, ``False`` ...) in :class:`FingerprintCache`.
 _MISSING = object()
 
-#: Distinct baselines whose delta state (baseline contributions + totals) a
-#: compiled set keeps, LRU-evicted.  Two is the working set of a factored
-#: batch (original baseline for the report, factored baseline for the
-#: residual deltas); a little headroom covers interleaved sweeps.
-_DELTA_BASELINE_SLOTS = 4
 
-
-def _resolve_value_backend(semiring):
+def _resolve_value_backend(semiring: BackendLike) -> Optional[SemiringBackend]:
     """Resolve a ``semiring=`` argument to a backend, or ``None`` for real.
 
     ``None`` (and the real backend itself) resolve to ``None`` so the plain
@@ -108,10 +103,9 @@ class FingerprintCache:
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._hits = 0
         self._misses = 0
-        if metrics is None:
-            self._metric_hits = None
-            self._metric_misses = None
-        else:
+        self._metric_hits: Optional[Counter] = None
+        self._metric_misses: Optional[Counter] = None
+        if metrics is not None:
             from repro.obs.metrics import get_registry
 
             registry = get_registry()
@@ -179,7 +173,7 @@ class FingerprintCache:
         return len(self._entries)
 
 
-class Valuation(Mapping[str, float]):
+class Valuation(Mapping[str, Any]):
     """An immutable assignment of values to provenance variables.
 
     Behaves as a read-only mapping; algebraic helpers return new valuations.
@@ -200,13 +194,13 @@ class Valuation(Mapping[str, float]):
 
     def __init__(
         self,
-        values: Optional[Mapping[str, object]] = None,
-        semiring: Optional[object] = None,
+        values: Optional[Mapping[str, Any]] = None,
+        semiring: BackendLike = None,
     ) -> None:
         backend = _resolve_value_backend(semiring)
         self._backend = backend
         if backend is None:
-            self._values: Dict[str, object] = {
+            self._values: Dict[str, Any] = {
                 str(name): float(value) for name, value in (values or {}).items()
             }
         else:
@@ -222,7 +216,7 @@ class Valuation(Mapping[str, float]):
         cls,
         variables: Iterable[str],
         value: Number = 1.0,
-        semiring: Optional[object] = None,
+        semiring: BackendLike = None,
     ) -> "Valuation":
         """Assign the same ``value`` to every variable in ``variables``.
 
@@ -235,7 +229,7 @@ class Valuation(Mapping[str, float]):
     def identity_for(
         cls,
         provenance: "ProvenanceSet | Polynomial",
-        semiring: Optional[object] = None,
+        semiring: BackendLike = None,
     ) -> "Valuation":
         """The identity valuation over the variables of ``provenance``.
 
@@ -255,7 +249,7 @@ class Valuation(Mapping[str, float]):
     # -- the backend --------------------------------------------------------
 
     @property
-    def backend(self):
+    def backend(self) -> SemiringBackend:
         """The :class:`~repro.provenance.backends.SemiringBackend` typing the
         values (the real backend for plain float valuations)."""
         if self._backend is None:
@@ -271,7 +265,7 @@ class Valuation(Mapping[str, float]):
 
     # -- mapping interface --------------------------------------------------
 
-    def __getitem__(self, name: str) -> float:
+    def __getitem__(self, name: str) -> Any:
         return self._values[name]
 
     def __iter__(self) -> Iterator[str]:
@@ -283,13 +277,13 @@ class Valuation(Mapping[str, float]):
     def __contains__(self, name: object) -> bool:
         return name in self._values
 
-    def as_dict(self) -> Dict[str, float]:
+    def as_dict(self) -> Dict[str, Any]:
         """A mutable copy of the underlying mapping."""
         return dict(self._values)
 
     # -- functional updates --------------------------------------------------
 
-    def updated(self, changes: Mapping[str, object]) -> "Valuation":
+    def updated(self, changes: Mapping[str, Any]) -> "Valuation":
         """Return a valuation with ``changes`` overriding/extending this one."""
         merged = dict(self._values)
         if self._backend is None:
@@ -348,7 +342,7 @@ class Valuation(Mapping[str, float]):
             {name: value for name, value in self._values.items() if name in keep}
         )
 
-    def _rebuild(self, values: Dict[str, object]) -> "Valuation":
+    def _rebuild(self, values: Dict[str, Any]) -> "Valuation":
         """Build a valuation with the same backend from pre-coerced values."""
         result = Valuation.__new__(Valuation)
         result._values = values
@@ -373,577 +367,36 @@ class Valuation(Mapping[str, float]):
 
 
 class CompiledPolynomial:
-    """A polynomial compiled to flat numpy arrays for fast repeated evaluation.
+    """One polynomial compiled for fast repeated evaluation.
 
-    The compilation maps each variable to an index, groups monomials by their
-    number of factors and stores, per group, a coefficient vector and an
-    integer matrix of ``(variable index, exponent)`` pairs.  Evaluation is a
-    handful of vectorised numpy operations, independent of Python-level
-    per-monomial loops — which is what makes assignment over provenance much
-    faster than re-running the query, and what makes the *compressed*
-    provenance proportionally faster than the full one.
+    A one-key view over :class:`CompiledProvenanceSet`: the polynomial is
+    compiled as a single-row provenance set, so it shares that class's
+    flat-array layout and vectorised kernels.
     """
 
-    __slots__ = ("_variables", "_index", "_groups", "_constant")
+    __slots__ = ("_compiled",)
 
     def __init__(self, polynomial: Polynomial) -> None:
-        variables = sorted(polynomial.variables())
-        self._variables: Tuple[str, ...] = tuple(variables)
-        self._index: Dict[str, int] = {name: i for i, name in enumerate(variables)}
-        self._constant: float = 0.0
-
-        by_width: Dict[int, List[Tuple[float, List[int], List[int]]]] = {}
-        for monomial, coefficient in polynomial.terms():
-            if monomial.is_unit():
-                self._constant += coefficient
-                continue
-            var_indices: List[int] = []
-            exponents: List[int] = []
-            for name, exponent in monomial:
-                var_indices.append(self._index[name])
-                exponents.append(exponent)
-            by_width.setdefault(len(var_indices), []).append(
-                (coefficient, var_indices, exponents)
-            )
-
-        self._groups: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for width, rows in sorted(by_width.items()):
-            coefficients = np.array([row[0] for row in rows], dtype=np.float64)
-            indices = np.array([row[1] for row in rows], dtype=np.intp)
-            exponents = np.array([row[2] for row in rows], dtype=np.float64)
-            self._groups.append((coefficients, indices, exponents))
+        self._compiled = CompiledProvenanceSet(ProvenanceSet({(): polynomial}))
 
     @property
     def variables(self) -> Tuple[str, ...]:
         """The variables of the compiled polynomial, sorted."""
-        return self._variables
+        return self._compiled.variables
 
     def num_monomials(self) -> int:
         """Number of non-constant monomials plus the constant term if present."""
-        count = sum(len(coefficients) for coefficients, _, _ in self._groups)
-        if self._constant != 0.0:
-            count += 1
-        return count
-
-    def _values_vector(self, valuation: Mapping[str, Number]) -> np.ndarray:
-        missing = [name for name in self._variables if name not in valuation]
-        if missing:
-            raise MissingValuationError(missing)
-        return np.array(
-            [float(valuation[name]) for name in self._variables], dtype=np.float64
-        )
+        return self._compiled.size()
 
     def evaluate(self, valuation: Mapping[str, Number]) -> float:
         """Evaluate under ``valuation`` (raises if variables are missing)."""
-        if not self._variables:
-            return self._constant
-        values = self._values_vector(valuation)
-        total = self._constant
-        for coefficients, indices, exponents in self._groups:
-            gathered = values[indices]
-            if np.any(exponents != 1.0):
-                gathered = np.power(gathered, exponents)
-            total += float(np.dot(coefficients, np.prod(gathered, axis=1)))
-        return total
+        return float(self._compiled.evaluate(valuation)[()])
 
-    def evaluate_many(
-        self, valuations: Sequence[Mapping[str, Number]]
-    ) -> np.ndarray:
+    def evaluate_many(self, valuations: Sequence[Mapping[str, Number]]) -> np.ndarray:
         """Evaluate under a batch of valuations, returning one result each.
 
-        The batch is lowered to a single ``valuations × variables`` matrix and
-        each monomial-width group is evaluated with one vectorised pass, so
-        the per-valuation Python overhead of :meth:`evaluate` is paid once for
-        the whole batch.
+        The batch is lowered to a single ``valuations × variables`` matrix,
+        so the per-valuation Python overhead of :meth:`evaluate` is paid once
+        for the whole batch.
         """
-        if not valuations:
-            return np.zeros(0, dtype=np.float64)
-        if not self._variables:
-            return np.full(len(valuations), self._constant, dtype=np.float64)
-        matrix = np.stack([self._values_vector(v) for v in valuations])
-        totals = np.full(len(valuations), self._constant, dtype=np.float64)
-        for coefficients, indices, exponents in self._groups:
-            gathered = matrix[:, indices]
-            if np.any(exponents != 1.0):
-                gathered = np.power(gathered, exponents)
-            totals += np.prod(gathered, axis=2) @ coefficients
-        return totals
-
-
-class _MonomialGroup:
-    """One width-group of a compiled provenance set (CSR-style flat arrays).
-
-    All monomials with the same number of factors live in one group, sorted
-    by result row so per-row totals are a contiguous segmented sum
-    (``np.add.reduceat``) instead of a scattered ``np.add.at``.
-    """
-
-    __slots__ = (
-        "coefficients",
-        "indices",
-        "exponents",
-        "segment_starts",
-        "segment_rows",
-        "has_higher_powers",
-    )
-
-    def __init__(
-        self,
-        rows: np.ndarray,
-        coefficients: np.ndarray,
-        indices: np.ndarray,
-        exponents: np.ndarray,
-    ) -> None:
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        self.coefficients: np.ndarray = coefficients[order]
-        self.indices: np.ndarray = indices[order]
-        self.exponents: np.ndarray = exponents[order]
-        boundaries = np.flatnonzero(np.diff(rows)) + 1
-        self.segment_starts: np.ndarray = np.concatenate(([0], boundaries))
-        self.segment_rows: np.ndarray = rows[self.segment_starts]
-        self.has_higher_powers: bool = bool(np.any(self.exponents != 1.0))
-
-    def contributions(self, matrix: np.ndarray) -> np.ndarray:
-        """Per-monomial contributions for a ``... × variables`` value matrix."""
-        gathered = matrix[..., self.indices]
-        if self.has_higher_powers:
-            gathered = np.power(gathered, self.exponents)
-        return np.prod(gathered, axis=-1) * self.coefficients
-
-
-class CompiledProvenanceSet(CompiledSemiringSet):
-    """A :class:`ProvenanceSet` compiled for fast repeated assignment.
-
-    All polynomials share one variable index; the monomials are lowered into
-    flat numpy arrays (coefficient vector, variable-index matrix, exponent
-    matrix) grouped by factor count and sorted by result row.  Evaluating the
-    whole set under one valuation — or a whole ``scenarios × variables``
-    matrix of valuations (:meth:`evaluate_matrix`) — is a handful of
-    vectorised operations with no per-monomial Python loop.
-    """
-
-    #: Implements the sparse delta surface (``baseline_totals`` /
-    #: ``evaluate_deltas``) the batch evaluator's sparse mode dispatches on.
-    supports_deltas = True
-
-    #: The semiring backend this compiled form belongs to (the name stamped
-    #: into compiled stores; see :mod:`repro.provenance.store`).
-    backend_name = "real"
-
-    __slots__ = (
-        "_keys",
-        "_variables",
-        "_index",
-        "_constant",
-        "_groups",
-        "_delta_index",
-        "_delta_baseline",
-        "_fingerprint",
-        "_store_path",
-    )
-
-    def __init__(self, provenance: ProvenanceSet) -> None:
-        self._delta_index = None
-        self._delta_baseline = []
-        self._fingerprint = provenance.fingerprint()
-        self._store_path = None
-        self._keys: Tuple[Tuple, ...] = provenance.keys()
-        variables = sorted(provenance.variables())
-        self._variables: Tuple[str, ...] = tuple(variables)
-        self._index: Dict[str, int] = {name: i for i, name in enumerate(variables)}
-        key_index = {key: i for i, key in enumerate(self._keys)}
-
-        self._constant = np.zeros(len(self._keys), dtype=np.float64)
-        by_width: Dict[int, List[Tuple[int, float, List[int], List[int]]]] = {}
-        for key, polynomial in provenance.items():
-            row = key_index[key]
-            for monomial, coefficient in polynomial.terms():
-                if monomial.is_unit():
-                    self._constant[row] += coefficient
-                    continue
-                var_indices: List[int] = []
-                exponents: List[int] = []
-                for name, exponent in monomial:
-                    var_indices.append(self._index[name])
-                    exponents.append(exponent)
-                by_width.setdefault(len(var_indices), []).append(
-                    (row, coefficient, var_indices, exponents)
-                )
-
-        self._groups: List[_MonomialGroup] = []
-        for width, rows in sorted(by_width.items()):
-            self._groups.append(
-                _MonomialGroup(
-                    np.array([r[0] for r in rows], dtype=np.intp),
-                    np.array([r[1] for r in rows], dtype=np.float64),
-                    np.array([r[2] for r in rows], dtype=np.intp),
-                    np.array([r[3] for r in rows], dtype=np.float64),
-                )
-            )
-
-    @property
-    def keys(self) -> Tuple[Tuple, ...]:
-        """The result keys, in the order of the rows returned by :meth:`evaluate`."""
-        return self._keys
-
-    @property
-    def variables(self) -> Tuple[str, ...]:
-        """All variables of the compiled set, sorted."""
-        return self._variables
-
-    def size(self) -> int:
-        """Total number of monomials (the provenance size)."""
-        count = int(np.count_nonzero(self._constant))
-        count += sum(len(group.coefficients) for group in self._groups)
-        return count
-
-    @property
-    def source_fingerprint(self) -> Optional[str]:
-        """The fingerprint of the provenance set this was compiled from."""
-        return self._fingerprint
-
-    @property
-    def store_path(self) -> Optional[str]:
-        """The compiled store backing this set's arrays (``None`` if in-memory).
-
-        Set only by :func:`repro.provenance.store.open_store` — batch layers
-        use it to ship a path (not a pickle) to worker processes.
-        """
-        return self._store_path
-
-    def to_store(self, path) -> str:
-        """Persist this compiled set as a mmap-able store file at ``path``.
-
-        See :func:`repro.provenance.store.write_store`; the set itself keeps
-        its in-memory arrays (reopen via :meth:`from_store` for mapped ones).
-        """
-        from repro.provenance.store import write_store
-
-        return write_store(self, path)
-
-    @classmethod
-    def from_store(cls, path) -> "CompiledProvenanceSet":
-        """Open the compiled store at ``path`` as an instance of this class.
-
-        Raises :class:`~repro.exceptions.SerializationError` if the store
-        was written by a different backend.
-        """
-        from repro.exceptions import SerializationError
-        from repro.provenance.store import open_store
-
-        compiled = open_store(path)
-        if not isinstance(compiled, cls):
-            raise SerializationError(
-                f"{path}: store holds a {compiled.backend_name!r} compiled "
-                f"set, not {cls.backend_name!r}"
-            )
-        return compiled
-
-    def variable_index(self) -> Dict[str, int]:
-        """A copy of the variable → column index shared by every polynomial."""
-        return dict(self._index)
-
-    def values_vector(self, valuation: Mapping[str, Number]) -> np.ndarray:
-        """Lower a valuation to a value vector in this set's variable order."""
-        missing = [name for name in self._variables if name not in valuation]
-        if missing:
-            raise MissingValuationError(missing)
-        return np.array(
-            [float(valuation[name]) for name in self._variables], dtype=np.float64
-        )
-
-    def evaluate(self, valuation: Mapping[str, Number]) -> Dict[Tuple, float]:
-        """Evaluate every polynomial, returning key → numeric result."""
-        totals = self._evaluate_values(self.values_vector(valuation))
-        return {key: float(totals[i]) for i, key in enumerate(self._keys)}
-
-    def evaluate_vector(self, valuation: Mapping[str, Number]) -> np.ndarray:
-        """Like :meth:`evaluate` but returning a bare numpy vector (fast path)."""
-        values = np.array(
-            [float(valuation[name]) for name in self._variables], dtype=np.float64
-        )
-        return self._evaluate_values(values)
-
-    def _evaluate_values(self, values: np.ndarray) -> np.ndarray:
-        totals = self._constant.copy()
-        for group in self._groups:
-            segments = np.add.reduceat(
-                group.contributions(values), group.segment_starts
-            )
-            totals[group.segment_rows] += segments
-        return totals
-
-    def evaluate_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Evaluate a whole ``scenarios × variables`` matrix of valuations.
-
-        ``matrix`` must have one column per variable of :attr:`variables`, in
-        that order (build it with :meth:`values_vector` rows or via
-        :class:`repro.batch.ScenarioBatch`).  Returns a
-        ``scenarios × groups`` array whose columns follow :attr:`keys` — the
-        whole batch is a handful of vectorised operations instead of one
-        Python-level evaluation per scenario.
-        """
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != len(self._variables):
-            raise ValueError(
-                f"expected a (scenarios, {len(self._variables)}) matrix, "
-                f"got shape {matrix.shape}"
-            )
-        totals = np.tile(self._constant, (matrix.shape[0], 1))
-        for group in self._groups:
-            segments = np.add.reduceat(
-                group.contributions(matrix), group.segment_starts, axis=1
-            )
-            totals[:, group.segment_rows] += segments
-        return totals
-
-    def evaluate_many(
-        self, valuations: Sequence[Mapping[str, Number]]
-    ) -> np.ndarray:
-        """Evaluate a batch of valuation mappings (rows follow the input order)."""
-        if not valuations:
-            return np.zeros((0, len(self._keys)), dtype=np.float64)
-        matrix = np.stack([self.values_vector(v) for v in valuations])
-        return self.evaluate_matrix(matrix)
-
-    # -- sparse delta evaluation ---------------------------------------------
-
-    def dense_row_footprint(self) -> int:
-        """float64 cells :meth:`evaluate_matrix` materialises per scenario row.
-
-        The gather/power/product temporaries over every monomial factor
-        dominate; chunking layers use this to bound peak memory.
-        """
-        cells = len(self._variables) + len(self._keys)
-        for group in self._groups:
-            cells += group.indices.size
-        return max(1, cells)
-
-    def _delta_groups(self):
-        """Per-group inverted variable→monomial index plus per-monomial rows.
-
-        Immutable once built (concurrent builders may race, but every result
-        is equivalent), so cached compiled sets stay safe to share.
-        """
-        if self._delta_index is None:
-            with trace(
-                "incidence.delta_index",
-                groups=len(self._groups),
-                variables=len(self._variables),
-            ):
-                self._delta_index = tuple(
-                    (
-                        VariableIncidence.from_factor_arrays(
-                            len(self._variables), group.indices, group.exponents
-                        ),
-                        expand_segment_rows(
-                            group.segment_starts,
-                            group.segment_rows,
-                            len(group.coefficients),
-                        ),
-                    )
-                    for group in self._groups
-                )
-        return self._delta_index
-
-    def _delta_state(self, base_vector: np.ndarray):
-        """Baseline-once state for ``base_vector``: contributions + totals."""
-        base_vector = np.asarray(base_vector, dtype=np.float64)
-        if base_vector.shape != (len(self._variables),):
-            raise ValueError(
-                f"expected a base vector of {len(self._variables)} variables, "
-                f"got shape {base_vector.shape}"
-            )
-        key = base_vector.tobytes()
-        cache = self._delta_baseline
-        if cache is None:
-            cache = self._delta_baseline = []
-        for i, entry in enumerate(cache):
-            if entry[0] == key:
-                if i:
-                    # Move-to-front LRU: the factored batch path alternates
-                    # between the original and the factored baseline, so a
-                    # one-slot cache would rebuild on every alternation.
-                    cache.insert(0, cache.pop(i))
-                return entry
-        contributions = tuple(
-            group.contributions(base_vector) for group in self._groups
-        )
-        totals = self._constant.copy()
-        for group, contrib in zip(self._groups, contributions):
-            totals[group.segment_rows] += np.add.reduceat(
-                contrib, group.segment_starts
-            )
-        entry = (key, base_vector.copy(), contributions, totals)
-        cache.insert(0, entry)
-        del cache[_DELTA_BASELINE_SLOTS:]
-        return entry
-
-    def baseline_totals(self, base_vector: np.ndarray) -> np.ndarray:
-        """The per-group results under ``base_vector`` (the sparse baseline)."""
-        return self._delta_state(base_vector)[3].copy()
-
-    def evaluate_deltas(
-        self, base_vector: np.ndarray, plans: Sequence[DeltaPlanRow]
-    ) -> np.ndarray:
-        """Evaluate sparse scenarios as deltas against one shared base vector.
-
-        Each plan is ``(changed_columns, new_values)`` over this set's
-        variable order, with distinct columns per plan (what
-        :meth:`~repro.batch.planner.ScenarioBatch.delta_plan` emits).  The
-        base valuation is evaluated once; the whole
-        batch of scenarios is then answered with a handful of vectorised
-        passes over the *occurrences* of changed variables (via the inverted
-        variable→monomial index) — O(touched monomials), not O(monomials ×
-        scenarios):
-
-        * every occurrence contributes its monomial's multiplicative ratio
-          update ``old · (new/base − 1)``, accumulated into per-scenario
-          result rows with one global ``bincount``;
-        * monomials touched by several changed variables of one scenario get
-          an exact product fix-up through two persistent scatter buffers;
-        * scenarios whose ratios misbehave (a zero, subnormal or otherwise
-          over/underflowing base value) fall back to one exact full
-          re-evaluation of their row.
-
-        Returns the same ``scenarios × groups`` array the dense
-        :meth:`evaluate_matrix` path produces for the corresponding rows.
-        """
-        index = self._delta_groups()
-        _key, base, contributions, totals = self._delta_state(base_vector)
-        num_keys = len(self._keys)
-        num_plans = len(plans)
-        out = np.tile(totals, (num_plans, 1))
-        if num_plans == 0 or num_keys == 0:
-            return out
-
-        # Split the batch: scenarios with finite per-column ratios take the
-        # vectorised delta passes; the rest (zero/subnormal base values) are
-        # re-evaluated exactly, one full row each.
-        column_parts: List[np.ndarray] = []
-        ratio_parts: List[np.ndarray] = []
-        sid_parts: List[np.ndarray] = []
-        exact = []
-        # Scenarios with a single changed column can never need the
-        # multi-touch product fix-up (a variable occurs once per monomial).
-        multi_column = np.zeros(num_plans, dtype=np.bool_)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for s, (columns, values) in enumerate(plans):
-                # Plans arrive as caller-shaped sequences; coercion is per-plan.
-                columns = np.asarray(columns, dtype=np.intp)  # cobralint: disable=CL003 -- per-plan input coercion
-                values = np.asarray(values, dtype=np.float64)  # cobralint: disable=CL003 -- per-plan input coercion
-                if columns.size == 0:
-                    continue
-                ratios = values / base[columns]
-                if np.isfinite(ratios).all():
-                    column_parts.append(columns)
-                    ratio_parts.append(ratios)
-                    sid_parts.append(
-                        np.full(columns.size, s, dtype=np.intp)
-                    )
-                    multi_column[s] = columns.size > 1
-                else:
-                    exact.append((s, columns, values))
-
-            bad_sids: set = set()
-            if column_parts:
-                all_columns = np.concatenate(column_parts)
-                all_ratios = np.concatenate(ratio_parts)
-                all_sids = np.concatenate(sid_parts)
-                corrections = np.zeros(num_plans * num_keys, dtype=np.float64)
-                any_multi = bool(multi_column.any())
-                for (incidence, monomial_rows), group, base_contrib in zip(
-                    index, self._groups, contributions
-                ):
-                    # Scatter buffers for the product fix-up, allocated per
-                    # call (not cached on the instance) so concurrently
-                    # shared compiled sets never race on them; they are
-                    # reset to the identity after each scenario segment.
-                    if any_multi:
-                        products = np.ones(
-                            len(group.coefficients), dtype=np.float64
-                        )
-                        counts = np.zeros(
-                            len(group.coefficients), dtype=np.float64
-                        )
-                    occ_pos, occ_exp, occ_counts = incidence.occurrences(
-                        all_columns
-                    )
-                    if occ_pos.size == 0:
-                        continue
-                    occ_ratio = np.repeat(all_ratios, occ_counts)
-                    if group.has_higher_powers:
-                        occ_ratio = np.power(occ_ratio, occ_exp)
-                    occ_sid = np.repeat(all_sids, occ_counts)
-                    old = base_contrib[occ_pos]
-                    linear = old * (occ_ratio - 1.0)
-                    if not np.isfinite(linear).all():
-                        # Over/underflowed updates poison their scenarios'
-                        # correction rows; re-evaluate those rows exactly
-                        # (the pollution is overwritten below).
-                        bad = ~np.isfinite(linear)
-                        bad_sids.update(int(s) for s in np.unique(occ_sid[bad]))
-                    corrections += np.bincount(
-                        occ_sid * num_keys + monomial_rows[occ_pos],
-                        weights=linear,
-                        minlength=num_plans * num_keys,
-                    )[: num_plans * num_keys]
-                    # Product fix-up: within one scenario, a monomial touched
-                    # by k >= 2 changed variables must contribute
-                    # old·(∏ratios − 1), not the sum of its linear updates.
-                    if not any_multi:
-                        continue
-                    boundaries = np.flatnonzero(
-                        np.concatenate(([True], occ_sid[1:] != occ_sid[:-1]))
-                    )
-                    ends = np.append(boundaries[1:], occ_sid.size)
-                    # cobralint: disable=CL003 -- iterates scenario segments,
-                    # not elements: one step per scenario with multi-touch
-                    # monomials, each step fully vectorised via ufunc.at.
-                    for b, e in zip(boundaries, ends):
-                        if e - b < 2 or not multi_column[occ_sid[b]]:
-                            continue
-                        pos = occ_pos[b:e]
-                        np.add.at(counts, pos, 1.0)
-                        k = counts[pos]
-                        collided = k > 1.0
-                        if collided.any():
-                            cpos = pos[collided]
-                            cratio = occ_ratio[b:e][collided]
-                            np.multiply.at(products, cpos, cratio)
-                            fix = old[b:e][collided] * (
-                                (products[cpos] - 1.0) / k[collided]
-                                - (cratio - 1.0)
-                            )
-                            if np.isfinite(fix).all():
-                                np.add.at(
-                                    corrections,
-                                    int(occ_sid[b]) * num_keys
-                                    + monomial_rows[cpos],
-                                    fix,
-                                )
-                            else:
-                                bad_sids.add(int(occ_sid[b]))
-                            products[cpos] = 1.0
-                        counts[pos] = 0.0
-                out += corrections.reshape(num_plans, num_keys)
-
-            # Exact fallback: one full (still vectorised) row re-evaluation
-            # per affected scenario — the cost of one dense row, only for
-            # the scenarios that need it.
-            if exact or bad_sids:
-                scratch = base.copy()
-                for s in sorted(bad_sids):
-                    exact.append(
-                        (
-                            s,
-                            np.asarray(plans[s][0], dtype=np.intp),  # cobralint: disable=CL003 -- rare overflow fallback, off the fast path
-                            np.asarray(plans[s][1], dtype=np.float64),  # cobralint: disable=CL003 -- rare overflow fallback, off the fast path
-                        )
-                    )
-                for s, columns, values in exact:
-                    scratch[columns] = values
-                    out[s] = self._evaluate_values(scratch)
-                    scratch[columns] = base[columns]
-        return out
+        return self._compiled.evaluate_many(valuations)[:, 0]

@@ -264,11 +264,10 @@ class TestHotPathAllocation:
         findings = run_rule(
             tmp_path,
             {
-                "src/repro/provenance/valuation.py": """
+                "src/repro/provenance/backends/numeric.py": """
                 import numpy as np
 
-                def evaluate_matrix(matrix):
-                    totals = np.zeros(4)
+                def _fold(totals, rows, segments):
                     for s in range(3):
                         row = totals.copy()
                     return totals
@@ -317,7 +316,7 @@ class TestHotPathAllocation:
         findings = run_rule(
             tmp_path,
             {
-                "src/repro/provenance/valuation.py": """
+                "src/repro/provenance/backends/numeric.py": """
                 import numpy as np
 
                 def evaluate_matrix(matrix):
@@ -372,7 +371,7 @@ class TestHotPathAllocation:
         findings = run_rule(
             tmp_path,
             {
-                "src/repro/provenance/valuation.py": """
+                "src/repro/provenance/backends/numeric.py": """
                 import numpy as np
 
                 def helper(matrix):
@@ -385,11 +384,47 @@ class TestHotPathAllocation:
         )
         assert active(findings, "CL003") == []
 
+    def test_semiring_contribution_is_a_kernel(self, tmp_path):
+        findings = run_rule(
+            tmp_path,
+            {
+                "src/repro/provenance/backends/numeric.py": """
+                import numpy as np
+
+                def _tropical_contribute(gathered, exponents, coefficients, powers):
+                    total = coefficients
+                    for k in range(3):
+                        values = gathered.astype(np.float64)
+                        total = total + values.sum(axis=-1)
+                    return total
+                """
+            },
+            select=["CL003"],
+        )
+        assert len(active(findings, "CL003")) == 1
+
+    def test_every_listed_kernel_exists(self):
+        # A renamed kernel would silently drop out of the rule's coverage.
+        import ast
+        from pathlib import Path
+
+        from tools.cobralint.rules.hotpath import KERNELS
+
+        src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        for fragment, name in KERNELS:
+            tree = ast.parse((src / fragment).read_text(encoding="utf-8"))
+            defined = {
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            assert name in defined, f"{fragment} defines no {name}()"
+
     def test_suppression_silences(self, tmp_path):
         findings = run_rule(
             tmp_path,
             {
-                "src/repro/provenance/valuation.py": """
+                "src/repro/provenance/backends/numeric.py": """
                 import numpy as np
 
                 def evaluate_deltas(base, plans):

@@ -230,15 +230,6 @@ class TestCacheStatUnification:
         # The registry keeps the process-wide total.
         assert registry.snapshot()["counters"]["test.obs_cache2.misses"] >= 1
 
-    def test_deprecated_cache_stats_views_still_work(self):
-        from repro.batch import BatchEvaluator
-        from repro.core.compression import Compressor
-
-        stats = BatchEvaluator().cache_stats
-        assert stats["entries"] == 0 and stats["hits"] == 0 and stats["misses"] == 0
-        stats = Compressor().cache_stats
-        assert stats["entries"] == 0 and stats["hits"] == 0
-
 
 class TestRendering:
     def _spans(self):
@@ -316,6 +307,31 @@ class TestBatchIntegration:
         assert counters["batch.evaluations"] == 1
         assert counters["batch.scenarios"] == len(scenarios)
         assert counters[f"batch.mode.{report.mode}"] == 1
+
+    @pytest.mark.parametrize("mode", ["auto", "dense"])
+    def test_touched_fraction_is_computed_once(self, traced, monkeypatch, mode):
+        from repro.batch import BatchEvaluator
+        from repro.batch.planner import ScenarioBatch
+        from repro.engine.scenario import Scenario
+
+        calls = []
+        original = ScenarioBatch.touched_fraction
+
+        def counting(batch):
+            calls.append(batch)
+            return original(batch)
+
+        monkeypatch.setattr(ScenarioBatch, "touched_fraction", counting)
+        scenarios = [Scenario(f"#{i}").scale([f"x{i}"], 0.5) for i in range(4)]
+        BatchEvaluator().evaluate(_tiny_provenance(), scenarios, mode=mode)
+        assert len(calls) == 1
+        (span,) = [
+            span
+            for root in traced.drain()
+            for span in root.walk()
+            if span.name == "batch.evaluate"
+        ]
+        assert span.attributes["touched_fraction"] == original(calls[0])
 
     def test_worker_spans_ship_back_from_the_pool(self, traced):
         from repro.batch import BatchEvaluator

@@ -7,6 +7,7 @@ sharding), the session-level compile/open workflow and the ``cobra compile``
 / ``cobra batch --store`` CLI round trip.
 """
 
+import hashlib
 import json
 import struct
 
@@ -76,6 +77,63 @@ def _rewrite_header(path, mutate):
         + header
         + raw[prefix_len + header_len :]
     )
+
+
+#: SHA-256 of the bytes :func:`write_store` produces for the ``provenance``
+#: fixture (constant terms, higher powers, three widths), per backend.  The
+#: format is frozen at version 2: stores written by earlier builds must keep
+#: opening the same, so a changed digest needs a new ``STORE_VERSION``.
+STORE_DIGESTS = {
+    "real": "54ef3bed495504b1082fa920893657344f912a587c2d3c5cb4d1a9c69c13d384",
+    "tropical": "9bf0d4e39ce80a4c75b9b613030576fad336488b0d2003d91a9c8e40c2a3d633",
+    "bool": "e4bd9a74f79bb7dae4ad9fd0c4bf753fe68cf1b2ec072e023adb340b580665fa",
+}
+
+
+class TestStoreBytes:
+    @pytest.mark.parametrize("backend", sorted(STORE_DIGESTS))
+    def test_store_bytes_are_pinned(self, provenance, tmp_path, backend):
+        path = tmp_path / f"{backend}.cps"
+        write_store(resolve_backend(backend).compile(provenance), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == STORE_DIGESTS[backend]
+
+    @pytest.mark.parametrize("backend", sorted(STORE_DIGESTS))
+    def test_store_opens_like_the_compiled_set(self, provenance, tmp_path, backend):
+        compiled = resolve_backend(backend).compile(provenance)
+        path = tmp_path / f"{backend}.cps"
+        write_store(compiled, path)
+        mapped = open_store(path, cached=False)
+        assert type(mapped) is type(compiled)
+        assert mapped.size() == compiled.size() == provenance.size()
+        assert mapped.keys == compiled.keys
+        rng = np.random.default_rng(0)
+        matrix = rng.uniform(0.0, 2.0, (5, len(compiled.variables)))
+        matrix[1, 0] = 0.0
+        assert np.array_equal(
+            mapped.evaluate_matrix(matrix), compiled.evaluate_matrix(matrix)
+        )
+        plans = [
+            (np.array([0]), np.array([0.0])),
+            (np.array([1, 2]), np.array([3.0, 0.5])),
+        ]
+        assert np.array_equal(
+            mapped.evaluate_deltas(matrix[0], plans),
+            compiled.evaluate_deltas(matrix[0], plans),
+        )
+
+    @pytest.mark.parametrize(
+        "reader, writer",
+        [(r, w) for r in sorted(STORE_DIGESTS) for w in sorted(STORE_DIGESTS) if r != w],
+    )
+    def test_from_store_rejects_every_other_backend(
+        self, provenance, tmp_path, reader, writer
+    ):
+        path = tmp_path / f"{writer}.cps"
+        resolve_backend(writer).compile(provenance).to_store(path)
+        reader_class = type(resolve_backend(reader).compile(provenance))
+        with pytest.raises(SerializationError, match=writer):
+            reader_class.from_store(path)
 
 
 class TestStoreFormat:

@@ -3,10 +3,11 @@
 The engine's speed rests on a handful of vectorised kernels; a stray
 ``.copy()`` or per-element Python loop inside one silently turns an
 O(touched) pass into an O(everything) one.  The designated kernels are the
-matrix/delta evaluators and their per-group helpers in
-``provenance/valuation.py`` and ``provenance/backends/numeric.py``, the
-incremental-greedy coarsening loop in ``core/kernel/greedy.py``, and the
-shared-delta factoring loop in ``batch/factored.py``.
+compiled-set matrix/delta evaluators in ``provenance/backends/numeric.py``
+with their per-group helpers (contributions, segment fold, baseline state)
+and each semiring's contribution function, the incremental-greedy
+coarsening loop in ``core/kernel/greedy.py``, and the shared-delta
+factoring loop in ``batch/factored.py``.
 
 Inside a designated kernel this rule flags, **when executed under a loop**
 (a one-off allocation at kernel entry is fine; one per scenario/segment is
@@ -42,17 +43,15 @@ from tools.cobralint.engine import (
 
 #: ``(path substring, function name)`` pairs naming the guarded kernels.
 KERNELS: Tuple[Tuple[str, str], ...] = (
-    ("provenance/valuation.py", "evaluate_matrix"),
-    ("provenance/valuation.py", "evaluate_deltas"),
-    ("provenance/valuation.py", "_evaluate_values"),
-    ("provenance/valuation.py", "contributions"),
     ("provenance/backends/numeric.py", "evaluate_matrix"),
+    ("provenance/backends/numeric.py", "_evaluate_values"),
     ("provenance/backends/numeric.py", "evaluate_deltas"),
+    ("provenance/backends/numeric.py", "_delta_state"),
     ("provenance/backends/numeric.py", "_contributions"),
-    ("provenance/backends/numeric.py", "_restricted_contributions"),
-    ("provenance/backends/numeric.py", "_reduce"),
-    ("provenance/backends/numeric.py", "_accumulate"),
-    ("provenance/backends/numeric.py", "_fold_rows"),
+    ("provenance/backends/numeric.py", "_fold"),
+    ("provenance/backends/numeric.py", "_real_contribute"),
+    ("provenance/backends/numeric.py", "_tropical_contribute"),
+    ("provenance/backends/numeric.py", "_bool_contribute"),
     ("core/kernel/greedy.py", "apply"),
     ("core/kernel/greedy.py", "run"),
     ("core/kernel/greedy.py", "_remove_row"),
@@ -80,7 +79,6 @@ class HotPathAllocationRule(Rule):
     name = "hot-path-allocation"
     description = "per-iteration allocation or Python loop in a kernel"
     include = (
-        "src/repro/provenance/valuation.py",
         "src/repro/provenance/backends/numeric.py",
         "src/repro/core/kernel/greedy.py",
         "src/repro/batch/factored.py",
