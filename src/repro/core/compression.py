@@ -217,11 +217,14 @@ def apply_abstraction(
         abstraction = Abstraction(dict(abstraction))
 
     provenance_set = _as_provenance_set(provenance)
-    compressed = provenance_set.rename(dict(abstraction.mapping))
+    original_size = provenance_set.size()
+    with obs_trace("core.apply_abstraction", rows=original_size) as span:
+        compressed, distinct = provenance_set._rename(dict(abstraction.mapping))
+        span.set("distinct_monomials", distinct)
     return CompressionResult(
         compressed=compressed,
         abstraction=abstraction,
-        original_size=provenance_set.size(),
+        original_size=original_size,
         compressed_size=compressed.size(),
         original_variables=provenance_set.num_variables(),
         compressed_variables=compressed.num_variables(),

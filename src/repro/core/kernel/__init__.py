@@ -5,12 +5,13 @@ gain of **every** candidate inner node by scanning **every** monomial at
 **every** coarsening step — O(steps × candidates × |provenance|).  This
 package replaces those rescans with an incremental pipeline:
 
-* :mod:`repro.core.kernel.index` — a CSR-style monomial-incidence index
-  (tree node → the rows of monomials its subtree touches), built in one
-  linear pass and cached by provenance fingerprint;
+* :mod:`repro.core.kernel.index` — the flattened monomial rows plus a
+  CSR-style incidence index (tree node → the rows of monomials its subtree
+  touches, built on first use), cached by provenance fingerprint;
 * :mod:`repro.core.kernel.greedy` — :class:`IncrementalGreedyKernel`:
-  per-candidate merge-gain counters delta-updated in O(affected monomials)
-  per coarsening, with candidate selection through a lazy max-heap;
+  per-candidate merge-gain counters, worked out once per distinct monomial
+  and delta-updated in O(affected monomials) per coarsening, with candidate
+  selection through a lazy max-heap;
 * :mod:`repro.core.kernel.trajectory` — :class:`GreedyTrajectory`: the
   bound-independent coarsening trajectory, lazily extended and shared across
   bound sweeps ("compress once, then sweep").

@@ -12,7 +12,9 @@ is always available in O(1), and is *delta-updated* when a coarsening is
 applied: only the monomials containing a renamed variable are removed,
 merged and re-inserted, each touching only the counters of the inner-node
 ancestors of its variables — O(affected monomials × depth) per step instead
-of O(candidates × |provenance|).
+of O(candidates × |provenance|).  Rows carry interned factor-tuple ids: the
+candidates a tuple touches and its renaming under each candidate are worked
+out once per *distinct* tuple, so a row only moves int-keyed counts.
 
 Candidate selection pops from a lazy max-heap ordered by the exact key the
 legacy greedy maximises — ``(ratio, -lost, depth)`` with ties broken towards
@@ -39,7 +41,8 @@ case; ``optimize_greedy(strategy="auto")`` falls back to the legacy scan.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from collections import Counter
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.exceptions import UnsupportedPolynomialError
 from repro.obs.metrics import get_registry
@@ -72,6 +75,7 @@ class _Candidate:
         "stamp",
         "descendants",
         "inner_descendants",
+        "renamed",
     )
 
     def __init__(
@@ -93,10 +97,12 @@ class _Candidate:
         self.active = True
         self.r_size = r_size          # |replaced cut nodes| (all, occurring or not)
         self.touched = 0              # live rows containing a variable below name
-        self.sig_counts: Dict[Tuple, int] = {}
+        # packed (group, renamed factor id) -> live rows taking that key here
+        self.sig_counts: Counter = Counter()
         self.stamp = 0                # bumped on every change; stale heap entries skip
         self.descendants = descendants
         self.inner_descendants = inner_descendants
+        self.renamed: Dict[int, int] = {}  # factor id -> renamed factor id
 
     def gain(self) -> int:
         """Monomials saved by coarsening here (ignoring size-prediction drift)."""
@@ -142,15 +148,6 @@ class IncrementalGreedyKernel:
             index = incidence_index(provenance, forest)
         self._index = index
 
-        # Mutable row store, seeded from the index. Freed slots are never
-        # reused; merged rows get fresh ids, preserving deterministic order.
-        self._row_poly: List[int] = [row[0] for row in index.rows]
-        self._row_factors: List[Factors] = [row[1] for row in index.rows]
-        self._row_coeff: List[float] = [row[2] for row in index.rows]
-        self._var_rows: Dict[str, Set[int]] = {
-            name: set(ids) for name, ids in index.variable_rows.items()
-        }
-
         # Node metadata shared by signature computation and row updates.
         self._ancestors: Dict[str, Tuple[str, ...]] = {}
         self._candidates: Dict[str, _Candidate] = {}
@@ -181,6 +178,24 @@ class IncrementalGreedyKernel:
                 )
                 order += 1
 
+        # Factor tuples are interned to ids, and everything symbolic — the
+        # candidates a monomial touches, its renaming under a candidate — is
+        # worked out once per distinct id; rows only carry ids.
+        self._factor_ids: Dict[Factors, int] = {}
+        self._factors: List[Factors] = []
+        self._factor_candidates: Dict[int, Tuple[_Candidate, ...]] = {}
+        self._var_factors: Dict[str, Set[int]] = {}  # variable -> factor ids
+
+        # Mutable row store, seeded from the index. Freed slots are never
+        # reused; merged rows get fresh ids, preserving deterministic order.
+        self._row_poly: List[int] = [row[0] for row in index.rows]
+        self._row_factor: List[int] = [self._intern(row[1]) for row in index.rows]
+        self._row_coeff: List[float] = [row[2] for row in index.rows]
+        self._factor_rows: Dict[int, Set[int]] = {}  # factor id -> live rows
+        self._num_groups = 1 + max(self._row_poly, default=0)
+        for rid, fid in enumerate(self._row_factor):
+            self._factor_rows.setdefault(fid, set()).add(rid)
+
         # One cut-node set per tree (all members, occurring or not).
         self._cut_nodes: List[Set[str]] = [
             set(tree.leaves()) for tree in self._trees
@@ -198,14 +213,15 @@ class IncrementalGreedyKernel:
         self.heap_pops = 0
         self.gain_updates = 0
 
-        # Initial gain counters straight off the CSR incidence index.
-        for candidate in self._candidates.values():
-            row_ids = index.rows_under(candidate.name)
-            candidate.touched = len(row_ids)
-            counts = candidate.sig_counts
-            for rid in row_ids:
-                key = self._signature(candidate, int(rid))
-                counts[key] = counts.get(key, 0) + 1
+        # Initial gain counters: every live row counted under each
+        # candidate its factors touch.
+        with trace(
+            "kernel.init",
+            rows=len(index.rows),
+            distinct_monomials=len(self._factor_rows),
+        ):
+            for fid, rows in self._factor_rows.items():
+                self._count_rows(fid, rows, set())
 
         self._heap: List[Tuple] = []
         self._refresh(self._candidates.keys())
@@ -233,14 +249,42 @@ class IncrementalGreedyKernel:
             rest.sort()
         return tuple(rest)
 
-    def _signature(self, candidate: _Candidate, rid: int) -> Tuple:
-        """The renamed key a row takes if ``candidate`` is coarsened now."""
-        return (
-            self._row_poly[rid],
-            self._renamed_factors(
-                self._row_factors[rid], candidate.descendants, candidate.name
-            ),
-        )
+    def _intern(self, factors: Factors) -> int:
+        """The id of ``factors`` (a fresh one if they are new)."""
+        fid = self._factor_ids.get(factors)
+        if fid is None:
+            fid = self._factor_ids[factors] = len(self._factors)
+            self._factors.append(factors)
+        return fid
+
+    def _live_candidates(self, fid: int) -> Tuple[_Candidate, ...]:
+        """The candidates whose subtree holds a variable of factor ``fid``.
+
+        Worked out when the factor first gets a live row, which is also
+        when its variables start pointing at it (renamed factors that only
+        ever serve as signatures never do).
+        """
+        candidates = self._factor_candidates.get(fid)
+        if candidates is None:
+            names: Set[str] = set()
+            for name, _exponent in self._factors[fid]:
+                self._var_factors.setdefault(name, set()).add(fid)
+                names.update(self._ancestors.get(name, ()))
+            candidates = self._factor_candidates[fid] = tuple(
+                self._candidates[name] for name in names
+            )
+        return candidates
+
+    def _renamed_id(self, candidate: _Candidate, fid: int) -> int:
+        """The id of factor ``fid`` renamed as coarsening ``candidate`` would."""
+        renamed = candidate.renamed.get(fid)
+        if renamed is None:
+            renamed = candidate.renamed[fid] = self._intern(
+                self._renamed_factors(
+                    self._factors[fid], candidate.descendants, candidate.name
+                )
+            )
+        return renamed
 
     def _refresh(self, names) -> None:
         """Re-push heap entries for candidates whose selection key changed."""
@@ -281,59 +325,40 @@ class IncrementalGreedyKernel:
 
     # -- row bookkeeping ----------------------------------------------------
 
-    def _row_candidates(self, rid: int) -> Set[str]:
-        names: Set[str] = set()
-        for name, _exponent in self._row_factors[rid]:
-            ancestors = self._ancestors.get(name)
-            if ancestors:
-                names.update(ancestors)
-        return names
+    def _count_rows(self, fid: int, rows: Iterable[int], dirty: Set[str]) -> None:
+        """Count live ``rows`` of factor ``fid`` under every active candidate.
 
-    def _remove_row(self, rid: int, dirty: Set[str]) -> None:
-        for name, _exponent in self._row_factors[rid]:
-            rows = self._var_rows.get(name)
-            if rows is not None:
-                rows.discard(rid)
-                if not rows:
-                    del self._var_rows[name]
-        for cname in self._row_candidates(rid):
-            candidate = self._candidates[cname]
+        A row's signature under a candidate is the key it takes if that
+        candidate is coarsened now: ``(group, renamed id)``, packed into the
+        int ``renamed id * groups + group``.
+        """
+        groups = [self._row_poly[rid] for rid in rows]
+        for candidate in self._live_candidates(fid):
             if not candidate.active:
                 continue
-            key = self._signature(candidate, rid)
-            counts = candidate.sig_counts
-            remaining = counts[key] - 1
-            if remaining:
-                counts[key] = remaining
-            else:
-                del counts[key]
-            candidate.touched -= 1
-            dirty.add(cname)
-        self.live_size -= 1
+            base = self._renamed_id(candidate, fid) * self._num_groups
+            candidate.sig_counts.update(map(base.__add__, groups))
+            candidate.touched += len(groups)
+            dirty.add(candidate.name)
 
-    def _add_row(
-        self, poly: int, factors: Factors, coefficient: float, dirty: Set[str]
+    def _uncount_rows(
+        self, fid: int, rows: Iterable[int], dirty: Set[str]
     ) -> None:
-        rid = len(self._row_factors)
-        self._row_poly.append(poly)
-        self._row_factors.append(factors)
-        self._row_coeff.append(coefficient)
-        candidates: Set[str] = set()
-        for name, _exponent in factors:
-            self._var_rows.setdefault(name, set()).add(rid)
-            ancestors = self._ancestors.get(name)
-            if ancestors:
-                candidates.update(ancestors)
-        for cname in candidates:
-            candidate = self._candidates[cname]
+        """Take live ``rows`` of factor ``fid`` out of every active candidate."""
+        groups = [self._row_poly[rid] for rid in rows]
+        for candidate in self._factor_candidates[fid]:
             if not candidate.active:
                 continue
-            key = self._signature(candidate, rid)
+            base = self._renamed_id(candidate, fid) * self._num_groups
             counts = candidate.sig_counts
-            counts[key] = counts.get(key, 0) + 1
-            candidate.touched += 1
-            dirty.add(cname)
-        self.live_size += 1
+            for key in map(base.__add__, groups):
+                remaining = counts[key] - 1
+                if remaining:
+                    counts[key] = remaining
+                else:
+                    counts.pop(key)  # dict.pop; Counter's ``del`` runs in Python
+            candidate.touched -= len(groups)
+            dirty.add(candidate.name)
 
     # -- the coarsening step --------------------------------------------------
 
@@ -344,37 +369,62 @@ class IncrementalGreedyKernel:
             raise ValueError(f"{name!r} is not an active coarsening candidate")
         below = candidate.descendants
 
-        # Affected rows: those containing an occurring variable below name
-        # (intersect iterating the smaller of the two sets).
-        affected: Set[int] = set()
-        for var in below & self._var_rows.keys():
-            affected |= self._var_rows[var]
+        # name joins the cut; inner nodes strictly below lose their replaced
+        # set — neither is ever a candidate again, so their counters are
+        # dropped rather than updated.
+        retired = [
+            self._candidates[node]
+            for node in (name, *candidate.inner_descendants)
+            if self._candidates[node].active
+        ]
+        for state in retired:
+            state.active = False
 
+        # Affected rows: the live rows of every factor tuple containing a
+        # variable below name, taken out of the counters one tuple at a time.
+        fids: Set[int] = set()
+        for var in below & self._var_factors.keys():
+            fids |= self._var_factors[var]
         size_before = self.current_size
         live_before = self.live_size
         dirty: Set[str] = set()
+        affected: List[int] = []
+        renamed: Dict[int, int] = {}
+        for fid in fids:
+            rows = self._factor_rows.pop(fid, None)
+            if rows:
+                self._uncount_rows(fid, rows, dirty)
+                affected.extend(rows)
+                renamed[fid] = self._renamed_id(candidate, fid)
+        self.live_size -= len(affected)
 
-        # Remove affected rows and group them by their renamed key, summing
-        # coefficients exactly as ``ProvenanceSet.rename`` would.
-        merged: Dict[Tuple[int, Factors], float] = {}
+        # Group the affected rows by their renamed key, summing coefficients
+        # in row order exactly as ``ProvenanceSet.rename`` would.
+        row_poly, row_factor, row_coeff = (
+            self._row_poly, self._row_factor, self._row_coeff
+        )
+        merged: Dict[Tuple[int, int], float] = {}
         for rid in sorted(affected):
-            poly = self._row_poly[rid]
-            coefficient = self._row_coeff[rid]
-            self._remove_row(rid, dirty)
-            key = (
-                poly,
-                self._renamed_factors(self._row_factors[rid], below, name),
-            )
-            merged[key] = merged.get(key, 0.0) + coefficient
+            key = (row_poly[rid], renamed[row_factor[rid]])
+            merged[key] = merged.get(key, 0.0) + row_coeff[rid]
 
         # The legacy's predicted size ignores coefficient cancellation...
         new_size = live_before - (len(affected) - len(merged))
         # ...while the maintained rows mirror the real rename (cancelled
         # rows dropped at the Polynomial normalisation threshold).
-        for (poly, factors), coefficient in merged.items():
+        added: Dict[int, List[int]] = {}
+        for (poly, fid), coefficient in merged.items():
             if abs(coefficient) <= _ZERO_EPSILON:
                 continue
-            self._add_row(poly, factors, coefficient, dirty)
+            rid = len(self._row_factor)
+            self._row_poly.append(poly)
+            self._row_factor.append(fid)
+            self._row_coeff.append(coefficient)
+            added.setdefault(fid, []).append(rid)
+        for fid, rows in added.items():
+            self._factor_rows.setdefault(fid, set()).update(rows)
+            self._count_rows(fid, rows, dirty)
+            self.live_size += len(rows)
 
         # Cut bookkeeping: replace everything below name by name.
         cut = self._cut_nodes[candidate.tree_index]
@@ -382,15 +432,9 @@ class IncrementalGreedyKernel:
         cut -= replaced_all
         cut.add(name)
 
-        # name joins the cut; inner nodes strictly below lose their replaced
-        # set — neither is ever a candidate again.
-        candidate.active = False
-        candidate.sig_counts = {}
-        for inner in candidate.inner_descendants:
-            other = self._candidates[inner]
-            if other.active:
-                other.active = False
-                other.sig_counts = {}
+        for state in retired:
+            state.sig_counts = Counter()
+            state.renamed = {}
         # Ancestors now replace one node (name) where they used to replace
         # all of name's members.
         shrink = candidate.r_size - 1

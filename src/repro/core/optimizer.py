@@ -27,7 +27,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import InfeasibleBoundError, UnsupportedPolynomialError
-from repro.provenance.polynomial import ProvenanceSet
+from repro.obs.tracer import trace as obs_trace
+from repro.provenance.monomial import Monomial
+from repro.provenance.polynomial import Polynomial, ProvenanceSet
 from repro.core.abstraction_tree import AbstractionTree
 from repro.core.compression import (
     Abstraction,
@@ -126,23 +128,34 @@ class _TreeLoadModel:
     ``load(v)`` is the number of monomials that remain if all leaves under
     ``v`` are merged into a single meta-variable; ``base_monomials`` counts
     the monomials containing no tree variable (they are unaffected by any
-    cut of this tree).
+    cut of this tree); ``distinct_monomials`` how many distinct monomials
+    the provenance's rows hold.
     """
 
     tree: AbstractionTree
     loads: Dict[str, int]
     base_monomials: int
     leaf_occurrences: Dict[str, int]
+    distinct_monomials: int
 
     def cut_size(self, cut: Cut) -> int:
         """The predicted compressed size under ``cut``."""
         return self.base_monomials + sum(self.loads[node] for node in cut.nodes)
 
 
+Factors = Tuple[Tuple[str, int], ...]
+_UNSEEN = object()
+
+
 def build_load_model(
     provenance: ProvenanceLike, tree: AbstractionTree
 ) -> _TreeLoadModel:
     """Compute per-node loads for ``provenance`` with respect to ``tree``.
+
+    Each *distinct* monomial is classified once into (tree leaf, exponent,
+    residue); a row then only adds its ``(group, residue, exponent)`` key,
+    packed into one int, to its leaf's set.  A group holds a monomial at
+    most once, so the size of a leaf's set is also its occurrence count.
 
     Raises
     ------
@@ -151,35 +164,56 @@ def build_load_model(
         the single-tree DP's precondition (use the greedy optimiser then).
     """
     provenance_set = _as_provenance_set(provenance)
-    tree_leaves = set(tree.leaves())
+    with obs_trace("core.load_model", rows=provenance_set.size()) as span:
+        model = _build_load_model(provenance_set, tree)
+        span.set("distinct_monomials", model.distinct_monomials)
+    return model
 
-    residues_per_leaf: Dict[str, Set[Tuple]] = {leaf: set() for leaf in tree_leaves}
-    occurrences: Dict[str, int] = {leaf: 0 for leaf in tree_leaves}
+
+def _build_load_model(
+    provenance_set: ProvenanceSet, tree: AbstractionTree
+) -> _TreeLoadModel:
+    tree_leaves = set(tree.leaves())
+    num_groups = len(provenance_set)
+
+    residues_per_leaf: Dict[str, Set[int]] = {leaf: set() for leaf in tree_leaves}
+    residue_ids: Dict[Tuple, int] = {}
+    # factors -> None (no tree leaf) or (its leaf's set, residue id * groups)
+    classes: Dict[Factors, Optional[Tuple[Set[int], int]]] = {}
     base_monomials = 0
 
-    for group_key, polynomial in provenance_set.items():
-        for monomial, _coefficient in polynomial.terms():
-            in_tree = [name for name, _ in monomial if name in tree_leaves]
-            if not in_tree:
+    def classify(
+        factors: Factors, polynomial: Polynomial
+    ) -> Optional[Tuple[Set[int], int]]:
+        in_tree = [factor for factor in factors if factor[0] in tree_leaves]
+        if not in_tree:
+            return None
+        if len(in_tree) > 1:
+            # Report the polynomial's first offending monomial in canonical
+            # order, as a term-by-term scan would.
+            for monomial, _coefficient in polynomial.terms():
+                _check_one_leaf(monomial, tree_leaves, tree)
+        leaf, exponent = in_tree[0]
+        key = (tuple(factor for factor in factors if factor[0] != leaf), exponent)
+        residue = residue_ids.setdefault(key, len(residue_ids))
+        return residues_per_leaf[leaf], residue * num_groups
+
+    for group, polynomial in enumerate(provenance_set.polynomials()):
+        for monomial in polynomial.monomials():
+            factors = monomial.factors
+            kind = classes.get(factors, _UNSEEN)
+            if kind is _UNSEEN:
+                kind = classes[factors] = classify(factors, polynomial)
+            if kind is None:
                 base_monomials += 1
-                continue
-            if len(in_tree) > 1:
-                raise UnsupportedPolynomialError(
-                    f"monomial {monomial.to_text()!r} contains {len(in_tree)} "
-                    f"variables of tree {tree.root!r}; the single-tree "
-                    "optimizer requires at most one (use optimize_greedy)"
-                )
-            leaf = in_tree[0]
-            exponent = monomial.exponent(leaf)
-            residue = monomial.without([leaf])
-            residues_per_leaf[leaf].add((group_key, residue, exponent))
-            occurrences[leaf] += 1
+            else:
+                kind[0].add(kind[1] + group)
+    occurrences = {leaf: len(rows) for leaf, rows in residues_per_leaf.items()}
 
     # Bottom-up union of residue sets gives each node's load.
     loads: Dict[str, int] = {}
-    residues_per_node: Dict[str, Set[Tuple]] = {}
 
-    def visit(name: str) -> Set[Tuple]:
+    def visit(name: str) -> Set[int]:
         node = tree.node(name)
         if node.is_leaf:
             residues = residues_per_leaf.get(name, set())
@@ -187,7 +221,6 @@ def build_load_model(
             residues = set()
             for child in node.children:
                 residues |= visit(child)
-        residues_per_node[name] = residues
         loads[name] = len(residues)
         return residues
 
@@ -197,7 +230,21 @@ def build_load_model(
         loads=loads,
         base_monomials=base_monomials,
         leaf_occurrences=occurrences,
+        distinct_monomials=len(classes),
     )
+
+
+def _check_one_leaf(
+    monomial: Monomial, tree_leaves: Set[str], tree: AbstractionTree
+) -> None:
+    """Raise if ``monomial`` holds two or more leaves of ``tree``."""
+    in_tree = [name for name, _ in monomial.factors if name in tree_leaves]
+    if len(in_tree) > 1:
+        raise UnsupportedPolynomialError(
+            f"monomial {monomial.to_text()!r} contains {len(in_tree)} "
+            f"variables of tree {tree.root!r}; the single-tree "
+            "optimizer requires at most one (use optimize_greedy)"
+        )
 
 
 def compute_size_profile(
@@ -312,7 +359,12 @@ def optimize_single_tree(
         dp[name] = table
         choice[name] = node_choice
 
-    visit(tree.root)
+    with obs_trace(
+        "core.dp",
+        rows=provenance_set.size(),
+        distinct_monomials=model.distinct_monomials,
+    ):
+        visit(tree.root)
 
     root_table = dp[tree.root]
     feasible_ks = [

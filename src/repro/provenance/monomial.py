@@ -74,6 +74,19 @@ class Monomial:
         return cls(variables)
 
     @classmethod
+    def _trusted(cls, factors: Tuple[Tuple[str, int], ...]) -> "Monomial":
+        """Wrap an already-canonical factor tuple without re-validating it.
+
+        ``factors`` must be sorted by name, with distinct valid names and
+        positive ``int`` exponents — what :attr:`factors` returns.  For
+        internal builders that derive factors from existing monomials.
+        """
+        monomial = object.__new__(cls)
+        monomial._factors = factors
+        monomial._hash = hash(factors)
+        return monomial
+
+    @classmethod
     def from_factors(cls, factors: Iterable[Tuple[VariableLike, int]]) -> "Monomial":
         """Build a monomial from ``(variable, exponent)`` pairs."""
         merged: Dict[str, int] = {}

@@ -15,6 +15,7 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
+    KeysView,
     List,
     Mapping,
     Optional,
@@ -79,6 +80,18 @@ class Polynomial:
         }
         self._hash: Optional[int] = None
 
+    @classmethod
+    def _trusted(cls, terms: Dict[Monomial, float]) -> "Polynomial":
+        """Adopt already-normalised ``terms`` without copying or checking them.
+
+        ``terms`` must map distinct :class:`Monomial` keys to ``float``
+        coefficients above the zero threshold — what construction leaves.
+        """
+        polynomial = object.__new__(cls)
+        polynomial._terms = terms
+        polynomial._hash = None
+        return polynomial
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -122,7 +135,12 @@ class Polynomial:
 
     def terms(self) -> Tuple[Tuple[Monomial, float], ...]:
         """All ``(monomial, coefficient)`` pairs in canonical (sorted) order."""
-        return tuple(sorted(self._terms.items(), key=lambda item: item[0]))
+        # Sorting on the factor tuples is Monomial ordering, compared in C.
+        return tuple(sorted(self._terms.items(), key=lambda item: item[0].factors))
+
+    def monomials(self) -> KeysView[Monomial]:
+        """The monomials in insertion order (unsorted, unlike :meth:`terms`)."""
+        return self._terms.keys()
 
     def coefficient(self, monomial: Monomial) -> float:
         """Coefficient of ``monomial`` (0.0 if absent)."""
@@ -215,11 +233,7 @@ class Polynomial:
         monomials may become identical and their coefficients are summed —
         precisely the compression effect described in the paper.
         """
-        merged: Dict[Monomial, float] = {}
-        for monomial, coefficient in self._terms.items():
-            target = monomial.rename(mapping)
-            merged[target] = merged.get(target, 0.0) + coefficient
-        return Polynomial(merged)
+        return _Renamer(mapping).polynomial(self)
 
     def substitute(self, assignment: Mapping[str, Number]) -> "Polynomial":
         """Partially evaluate: replace some variables by numeric values.
@@ -318,6 +332,77 @@ def _format_number(value: float, precision: int) -> str:
     if float(value).is_integer():
         return str(int(value))
     return f"{round(value, precision):g}"
+
+
+class _Renamer:
+    """Renames polynomials through one mapping, once per distinct monomial.
+
+    Every distinct renamed monomial gets an index into ``images``, and
+    ``memo`` sends the factors of each monomial seen to its image's index.
+    Polynomials sharing a renamer thus pay for each distinct monomial once;
+    per term they only look up its factors and sum a coefficient under an
+    int key.  A monomial in which no mapped variable occurs is its own
+    image.  Each mapping target is validated the first time a variable
+    mapped to it occurs: as with :meth:`Monomial.rename`, the target of a
+    variable that never occurs is not checked.  Every polynomial keeps its
+    term order, so coefficients are summed in the same order as a
+    term-by-term rename.
+    """
+
+    __slots__ = ("mapping", "memo", "images", "cancelled", "_image_ids", "_targets")
+
+    def __init__(self, mapping: Mapping[str, VariableLike]) -> None:
+        self.mapping = mapping
+        self.memo: Dict[Tuple[Tuple[str, int], ...], int] = {}
+        self.images: List[Monomial] = []
+        #: Whether some merged coefficient fell to zero (and was dropped).
+        self.cancelled = False
+        self._image_ids: Dict[Tuple[Tuple[str, int], ...], int] = {}
+        self._targets: Dict[VariableLike, str] = {}
+
+    def _image(self, monomial: Monomial) -> int:
+        """Index of the renamed ``monomial`` (computed once, then memoised)."""
+        mapping = self.mapping
+        factors = monomial.factors
+        renamed = monomial
+        if any(name in mapping for name, _ in factors):
+            merged: Dict[str, int] = {}
+            for name, exponent in factors:
+                if name in mapping:
+                    name = self._target(mapping[name])
+                merged[name] = merged.get(name, 0) + exponent
+            renamed = Monomial._trusted(tuple(sorted(merged.items())))
+        index = self._image_ids.get(renamed.factors)
+        if index is None:
+            index = self._image_ids[renamed.factors] = len(self.images)
+            self.images.append(renamed)
+        self.memo[factors] = index
+        return index
+
+    def _target(self, target: VariableLike) -> str:
+        name = self._targets.get(target)
+        if name is None:
+            name = self._targets[target] = variable_name(target)
+        return name
+
+    def polynomial(self, polynomial: Polynomial) -> Polynomial:
+        """The renamed ``polynomial``, coinciding monomials merged."""
+        memo = self.memo
+        merged: Dict[int, float] = {}
+        for monomial, coefficient in polynomial._terms.items():
+            index = memo.get(monomial.factors)
+            if index is None:
+                index = self._image(monomial)
+            merged[index] = merged.get(index, 0.0) + coefficient
+        images = self.images
+        terms = {
+            images[index]: c
+            for index, c in merged.items()
+            if abs(c) > _ZERO_EPSILON
+        }
+        if len(terms) < len(merged):
+            self.cancelled = True
+        return Polynomial._trusted(terms)
 
 
 class ProvenanceSet:
@@ -448,11 +533,27 @@ class ProvenanceSet:
     # -- transformations --------------------------------------------------------
 
     def rename(self, mapping: Mapping[str, str]) -> "ProvenanceSet":
-        """Rename variables in every polynomial (the abstraction primitive)."""
-        return ProvenanceSet(
-            {key: polynomial.rename(mapping)
-             for key, polynomial in self._polynomials.items()}
-        )
+        """Rename variables in every polynomial (the abstraction primitive).
+
+        One renaming memo serves every polynomial, so each *distinct*
+        monomial is renamed once however many groups repeat it.  Unless some
+        merged coefficient cancelled to zero, the result's variables are
+        read off those distinct renamed monomials rather than its rows.
+        """
+        return self._rename(mapping)[0]
+
+    def _rename(self, mapping: Mapping[str, str]) -> Tuple["ProvenanceSet", int]:
+        """:meth:`rename`, and how many distinct monomials it renamed."""
+        renamer = _Renamer(mapping)
+        result = ProvenanceSet()
+        for key, polynomial in self._polynomials.items():
+            result._polynomials[key] = renamer.polynomial(polynomial)
+        if not renamer.cancelled:
+            names: set = set()
+            for monomial in renamer.images:
+                names.update(monomial.variables())
+            result._variables_cache = frozenset(names)
+        return result, len(renamer.memo)
 
     def substitute(self, assignment: Mapping[str, Number]) -> "ProvenanceSet":
         """Partially evaluate every polynomial."""

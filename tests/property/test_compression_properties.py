@@ -18,6 +18,8 @@ import pytest
 
 from repro.core.compression import apply_abstraction
 from repro.core.cut import enumerate_cuts, leaf_cut
+from repro.provenance.polynomial import Polynomial, ProvenanceSet
+from repro.provenance.variables import Variable
 from repro.workloads.random_polynomials import random_single_tree_instance
 
 
@@ -100,3 +102,94 @@ def test_leaf_cut_is_identity(instance):
     provenance, tree = instance
     result = apply_abstraction(provenance, leaf_cut(tree))
     assert result.compressed == provenance
+
+
+# -- memoised rename vs a term-by-term reference ------------------------------
+
+_VARIABLES = ("x", "y", "z", "w")
+_COEFFICIENTS = st.one_of(
+    st.sampled_from([-2.0, -1.0, 1.0, 2.0]),  # small integers cancel often
+    st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False),
+)
+
+
+def _reference_rename(provenance, mapping):
+    """``rename`` term by term through ``Monomial.rename``, as it worked unmemoised."""
+    result = ProvenanceSet()
+    for key, polynomial in provenance.items():
+        merged = {}
+        for monomial in polynomial.monomials():
+            target = monomial.rename(mapping)
+            merged[target] = merged.get(target, 0.0) + polynomial.coefficient(monomial)
+        result[key] = Polynomial(merged)
+    return result
+
+
+def _assert_same_rename(provenance, mapping):
+    renamed = provenance.rename(mapping)
+    reference = _reference_rename(provenance, mapping)
+    assert renamed == reference
+    assert renamed.fingerprint() == reference.fingerprint()
+    assert renamed.variables() == reference.variables()
+    for key, polynomial in reference.items():
+        # Same term order and bit-identical coefficients, not just equality.
+        ours = renamed[key]
+        assert list(ours.monomials()) == list(polynomial.monomials())
+        assert [ours.coefficient(m) for m in ours.monomials()] == [
+            polynomial.coefficient(m) for m in polynomial.monomials()
+        ]
+        assert provenance[key].rename(mapping) == polynomial
+
+
+@st.composite
+def provenance_and_mapping(draw):
+    provenance = ProvenanceSet()
+    for group in range(draw(st.integers(min_value=1, max_value=4))):
+        terms = draw(
+            st.lists(
+                st.tuples(
+                    _COEFFICIENTS,
+                    st.lists(st.sampled_from(_VARIABLES), max_size=3),
+                ),
+                max_size=8,
+            )
+        )
+        provenance[(group,)] = Polynomial.from_terms(terms)
+    mapping = {}
+    for source in draw(st.lists(st.sampled_from(_VARIABLES), unique=True)):
+        # meta-variables, existing variables (identity included) and
+        # Variable objects naming either
+        target = draw(st.sampled_from(("g", "h") + _VARIABLES))
+        mapping[source] = Variable(target) if draw(st.booleans()) else target
+    return provenance, mapping
+
+
+@settings(max_examples=200, deadline=None)
+@given(provenance_and_mapping())
+def test_memoised_rename_matches_term_by_term_reference(case):
+    _assert_same_rename(*case)
+
+
+@pytest.mark.parametrize(
+    "groups, mapping",
+    [
+        # x*z and y*z cancel in group a, so g is no variable of the result
+        ({"a": [(1.0, ["x", "z"]), (-1.0, ["y", "z"])], "b": [(2.0, ["w"])]},
+         {"x": "g", "y": "g"}),
+        # two variables of one monomial merged: x*y -> g^2
+        ({"a": [(1.5, ["x", "y"]), (2.0, ["x", "x"])]}, {"x": "g", "y": "g"}),
+        # a target that already occurs as a variable
+        ({"a": [(1.0, ["x"]), (2.0, ["y"]), (3.0, ["x", "z"])]}, {"x": "y"}),
+        # the identity mapping
+        ({"a": [(1.0, ["x", "y"])], "b": [(2.0, ["z"])]}, {"x": "x", "y": "y"}),
+        # Variable-object targets, mixed with a plain name for the same target
+        ({"a": [(1.0, ["x"]), (4.0, ["y"]), (0.5, ["z"])]},
+         {"x": Variable("g"), "y": "g", "z": Variable("y")}),
+    ],
+    ids=["cancel", "merge-in-monomial", "existing-target", "identity", "variable-objects"],
+)
+def test_rename_edge_cases_match_reference(groups, mapping):
+    provenance = ProvenanceSet(
+        {key: Polynomial.from_terms(terms) for key, terms in groups.items()}
+    )
+    _assert_same_rename(provenance, mapping)

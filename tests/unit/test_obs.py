@@ -355,3 +355,46 @@ class TestBatchIntegration:
         assert sum(s.attributes.get("rows", 0) for s in shard_spans) == len(
             scenarios
         )
+
+
+class TestCompressionSpans:
+    """Compression traces its stages with the row and distinct-monomial counts."""
+
+    @staticmethod
+    def _compress(strategy):
+        from repro.core.compression import Compressor
+        from repro.workloads.abstraction_trees import plans_tree
+        from repro.workloads.telephony import TelephonyConfig, generate_revenue_provenance
+
+        # Every zip is the same plan x month grid: 4 x 33 rows, 33 distinct.
+        provenance = generate_revenue_provenance(
+            TelephonyConfig(num_customers=200, num_zips=4, months=(1, 2, 3))
+        )
+        Compressor().compress(
+            provenance, plans_tree(), bound=provenance.size() // 2,
+            strategy=strategy, allow_infeasible=True,
+        )
+        return provenance
+
+    @staticmethod
+    def _spans_under(roots, parent):
+        (run,) = [root for root in roots if root.name == parent]
+        return {span.name: span for span in run.walk()}
+
+    def _assert_counts(self, span, provenance):
+        assert span.attributes["rows"] == provenance.size()
+        distinct = span.attributes["distinct_monomials"]
+        assert 0 < distinct < provenance.size()
+
+    def test_dp_compress_traces_load_model_dp_and_apply(self, traced):
+        provenance = self._compress("dp")
+        spans = self._spans_under(traced.drain(), "compress.run")
+        for name in ("core.load_model", "core.dp", "core.apply_abstraction"):
+            self._assert_counts(spans[name], provenance)
+
+    def test_incremental_compress_traces_kernel_init_and_apply(self, traced):
+        provenance = self._compress("incremental")
+        spans = self._spans_under(traced.drain(), "compress.run")
+        for name in ("kernel.init", "core.apply_abstraction"):
+            self._assert_counts(spans[name], provenance)
+        assert spans["kernel.init"].attributes["distinct_monomials"] == 33

@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import (
     InvalidPolynomialError,
+    InvalidVariableNameError,
     MissingValuationError,
 )
 from repro.provenance.monomial import Monomial
@@ -123,6 +124,22 @@ class TestRenameSubstituteEvaluate:
         p = Polynomial.from_terms([(2, ["b1", "m1"]), (3, ["b2", "m3"])])
         merged = p.rename({"b1": "SB", "b2": "SB"})
         assert merged.num_monomials() == 2
+
+    @pytest.mark.parametrize("target", ["bad name", "1x", "", 7])
+    def test_rename_validates_the_target_of_an_occurring_variable(self, target):
+        p = Polynomial.from_terms([(2, ["x", "y"]), (3, ["y"])])
+        with pytest.raises(InvalidVariableNameError):
+            p.rename({"x": target})
+        provenance = ProvenanceSet({"a": poly(y=1), "b": p})
+        with pytest.raises(InvalidVariableNameError):
+            provenance.rename({"x": target})
+
+    @pytest.mark.parametrize("target", ["bad name", "1x", "", 7])
+    def test_rename_ignores_the_target_of_an_absent_variable(self, target):
+        p = Polynomial.from_terms([(2, ["x", "y"]), (3, ["y"])])
+        assert p.rename({"absent": target, "x": "g"}) == p.rename({"x": "g"})
+        provenance = ProvenanceSet({"a": poly(y=1), "b": p})
+        assert provenance.rename({"absent": target}) == provenance
 
     def test_substitute_partial(self):
         p = Polynomial.from_terms([(2, ["x", "y"]), (3, ["y"])])

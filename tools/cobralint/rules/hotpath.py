@@ -54,8 +54,8 @@ KERNELS: Tuple[Tuple[str, str], ...] = (
     ("provenance/backends/numeric.py", "_bool_contribute"),
     ("core/kernel/greedy.py", "apply"),
     ("core/kernel/greedy.py", "run"),
-    ("core/kernel/greedy.py", "_remove_row"),
-    ("core/kernel/greedy.py", "_add_row"),
+    ("core/kernel/greedy.py", "_uncount_rows"),
+    ("core/kernel/greedy.py", "_count_rows"),
     ("batch/factored.py", "factor_batch"),
     ("batch/factored.py", "prefix_statistics"),
 )
