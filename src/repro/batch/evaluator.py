@@ -44,7 +44,16 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 try:
     from concurrent.futures.process import BrokenProcessPool
@@ -683,6 +692,10 @@ class BatchEvaluator:
         self._processes = processes
         self._retry = retry_policy if retry_policy is not None else policy_from_env()
         self._compiled = FingerprintCache(cache_size, metrics="batch.compile_cache")
+        #: ``(id(full), id(compressed))`` -> ``(full, compressed, columns)``:
+        #: per pair of compiled sets, each full key's compressed column (see
+        #: :meth:`_align_compressed`).  Holding both sets keeps the ids live.
+        self._alignments = FingerprintCache(cache_size)
         self._compressor = compressor
         self._store_pool: Optional[_StoreShardPool] = None
 
@@ -725,6 +738,7 @@ class BatchEvaluator:
     def clear_cache(self) -> None:
         """Drop every cached compilation (counters are kept)."""
         self._compiled.clear()
+        self._alignments.clear()
 
     # -- compiled stores -------------------------------------------------------
 
@@ -1114,8 +1128,7 @@ class BatchEvaluator:
             compressed_size = None
             if compiled_compressed is not None:
                 compressed_results = self._align_compressed(
-                    compiled_full, compiled_compressed, full_results, meta_rows,
-                    backend,
+                    compiled_full, compiled_compressed, meta_rows, backend
                 )
                 compressed_size = compressed.size()
 
@@ -1344,21 +1357,27 @@ class BatchEvaluator:
             ),
         )
 
-    @staticmethod
     def _align_compressed(
-        compiled_full, compiled_compressed, full_results, meta_rows, backend
+        self, compiled_full, compiled_compressed, meta_rows, backend
     ) -> np.ndarray:
         """Align compressed columns with the full provenance's keys; groups
         absent from the compressed set evaluate to the semiring zero, as in
         the interactive report."""
-        key_column = {key: i for i, key in enumerate(compiled_compressed.keys)}
-        zero = float(backend.semiring.zero)
-        compressed_results = np.full_like(full_results, zero)
-        for j, key in enumerate(compiled_full.keys):
-            column = key_column.get(key)
-            if column is not None:
-                compressed_results[:, j] = meta_rows[:, column]
-        return compressed_results
+        def build() -> Tuple[Any, Any, np.ndarray]:
+            # Keys absent from the compressed set read an appended zero column.
+            key_column = {key: i for i, key in enumerate(compiled_compressed.keys)}
+            absent = len(compiled_compressed.keys)
+            columns = np.array(
+                [key_column.get(key, absent) for key in compiled_full.keys],
+                dtype=np.intp,
+            )
+            return compiled_full, compiled_compressed, columns
+
+        _full, _compressed, columns = self._alignments.get_or_build(
+            (id(compiled_full), id(compiled_compressed)), build
+        )
+        zero = np.full((len(meta_rows), 1), float(backend.semiring.zero))
+        return np.concatenate((meta_rows, zero), axis=1).take(columns, axis=1)
 
     def _evaluate_generic(
         self,

@@ -67,6 +67,11 @@ class DeltaPlan:
         cannot affect the target's results) are dropped.
         """
         columns = np.asarray(columns, dtype=np.intp)
+        if columns.size == len(self.base_row) and np.array_equal(
+            columns, np.arange(columns.size)
+        ):
+            # The target's variables are the whole universe, in order.
+            return self.base_row, self.changes
         inverse = np.full(len(self.base_row), -1, dtype=np.intp)
         inverse[columns] = np.arange(columns.size, dtype=np.intp)
         projected: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -107,15 +112,31 @@ class ScenarioBatch:
         # universe (one membership set for the whole batch); applying the
         # plan is pure array arithmetic from here on.
         name_set = frozenset(self._variables)
-        self._resolved = tuple(
-            tuple(
-                (kind, np.array([self._index[n] for n in selected], dtype=np.intp), amount)
-                for kind, selected, amount in scenario.resolved_operations(
-                    self._variables, name_set
-                )
-            )
+        resolved = [
+            scenario.resolved_operations(self._variables, name_set)
             for scenario in self._scenarios
+        ]
+        # Every selected name of the batch is indexed in one pass; each step
+        # keeps its slice of the one column array.
+        selected = [
+            name
+            for operations in resolved
+            for _kind, names, _amount in operations
+            for name in names
+        ]
+        columns = np.fromiter(
+            map(self._index.__getitem__, selected), dtype=np.intp, count=len(selected)
         )
+        steps: List[Tuple[Tuple[str, np.ndarray, float], ...]] = []
+        start = 0
+        for operations in resolved:
+            step = []
+            for kind, names, amount in operations:
+                end = start + len(names)
+                step.append((kind, columns[start:end], amount))
+                start = end
+            steps.append(tuple(step))
+        self._resolved = tuple(steps)
 
     # -- inspection ---------------------------------------------------------
 
@@ -178,13 +199,24 @@ class ScenarioBatch:
         size, averaged over the batch."""
         if not self._scenarios or not self._variables:
             return 0.0
-        total = 0
-        for operations in self._resolved:
-            selected = [columns for _kind, columns, _amount in operations
-                        if columns.size]
-            if not selected:
-                continue
-            total += np.unique(np.concatenate(selected)).size
+        # One pass over every selected (scenario, column) cell: a cell is
+        # ``row · universe + column``, so distinct cells are distinct pairs.
+        selected = [
+            (row, columns)
+            for row, operations in enumerate(self._resolved)
+            for _kind, columns, _amount in operations
+            if columns.size
+        ]
+        if not selected:
+            return 0.0
+        rows = np.repeat(
+            np.array([row for row, _columns in selected], dtype=np.intp),
+            [columns.size for _row, columns in selected],
+        )
+        cells = rows * len(self._variables) + np.concatenate(
+            [columns for _row, columns in selected]
+        )
+        total = np.unique(cells).size
         return total / (len(self._scenarios) * len(self._variables))
 
     # -- lowering -----------------------------------------------------------
@@ -251,24 +283,21 @@ class ScenarioBatch:
             [float(base.get(name, fill)) for name in self._variables],
             dtype=np.float64,
         )
-        changes: List[Tuple[np.ndarray, np.ndarray]] = []
-        for operations in self._resolved:
+        changes: List[Tuple[np.ndarray, np.ndarray]] = [
+            (_EMPTY_COLUMNS, _EMPTY_VALUES)
+        ] * len(self._resolved)
+        # One-operation scenarios, the common case, are lowered together in
+        # one vectorised pass below; only multi-operation ones need a union.
+        single: List[Tuple[int, str, np.ndarray, float]] = []
+        for row, operations in enumerate(self._resolved):
             live = [
                 (kind, columns, amount)
                 for kind, columns, amount in operations
                 if columns.size
             ]
-            if not live:
-                changes.append((_EMPTY_COLUMNS, _EMPTY_VALUES))
-                continue
             if len(live) == 1:
-                # The common one-operation scenario needs no column union.
-                kind, touched, amount = live[0]
-                if kind == "scale":
-                    values = base_row[touched] * amount
-                else:
-                    values = np.full(touched.size, amount, dtype=np.float64)
-            else:
+                single.append((row, *live[0]))
+            elif live:
                 touched = np.unique(
                     np.concatenate([columns for _kind, columns, _amount in live])
                 )
@@ -279,8 +308,23 @@ class ScenarioBatch:
                         values[local] *= amount
                     else:
                         values[local] = amount
-            moved = values != base_row[touched]
-            changes.append((touched[moved], values[moved]))
+                moved = values != base_row[touched]
+                changes[row] = (touched[moved], values[moved])
+        if single:
+            rows, kinds, parts, amounts = zip(*single)
+            sizes = [columns.size for columns in parts]
+            touched = np.concatenate(parts)
+            scale = np.repeat([kind == "scale" for kind in kinds], sizes)
+            before = base_row[touched]
+            values = np.repeat(amounts, sizes) * np.where(scale, before, 1.0)
+            moved = values != before
+            owner = np.repeat(np.arange(len(single)), sizes)
+            ends = np.cumsum(np.bincount(owner[moved], minlength=len(single)))
+            touched, values = touched[moved], values[moved]
+            start = 0
+            for row, end in zip(rows, ends.tolist()):
+                changes[row] = (touched[start:end], values[start:end])
+                start = end
         return DeltaPlan(base_row=base_row, changes=tuple(changes))
 
     def columns_for(self, names: Sequence[str]) -> np.ndarray:

@@ -33,7 +33,7 @@ def _select(
     membership tests, built on demand otherwise.
     """
     if callable(selector):
-        return tuple(name for name in names if selector(name))
+        return tuple(filter(selector, names))
     if name_set is None:
         name_set = frozenset(names)
     if isinstance(selector, str):
@@ -41,9 +41,7 @@ def _select(
     # Explicit name lists are typically tiny against a large universe, so
     # iterate the selector (deduplicated, first occurrence wins) instead of
     # scanning every universe name per operation.
-    return tuple(
-        name for name in dict.fromkeys(selector) if name in name_set
-    )
+    return tuple(filter(name_set.__contains__, dict.fromkeys(selector)))
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,22 @@ only two things:
 * its :meth:`~CompiledNumericSet.evaluate_deltas` kernel, which answers
   sparse scenarios against one shared base vector.
 
+A compiled set can also be factored into its *distinct-monomial table*
+(:class:`_MonomialTable`): the distinct ``(indices, exponents)`` factor rows
+of each width group and a ``keys × distinct`` coefficient operator.  A
+polynomial's value is Σ coefficient × monomial value, so when polynomials
+share monomials (the Section 4 instance: 139,260 rows, 132 distinct) the
+counting semiring evaluates each distinct monomial once and folds the
+monomial values into row totals with one ``einsum`` — instead of walking
+every monomial row.
+
 There are two delta kernels, because the choice hangs on whether the
 semiring's sum has an inverse:
 
 * :class:`CompiledProvenanceSet` — the counting semiring ``(R, +, *)``.
-  Addition is invertible, so a changed variable updates each monomial it
+  In the table's dense layout a batch of deltas is scattered into full
+  value rows and folded exactly like :meth:`evaluate_matrix`; otherwise
+  addition is invertible, so a changed variable updates each monomial it
   touches by the ratio ``old · (new/base − 1)`` and the corrections are
   scattered into the result rows;
 * :class:`_CompiledTropicalSet` (min-plus: a monomial costs its coefficient
@@ -80,6 +91,10 @@ _DELTA_BASELINE_SLOTS = 4
 #: One group's sparse delta index: the inverted variable → monomial index,
 #: each monomial's result row and each segment's end position.
 _DeltaIndexEntry = Tuple[VariableIncidence, np.ndarray, np.ndarray]
+
+#: Row chunks of the dense-layout delta kernel keep their temporaries
+#: (value rows, monomial values, totals) under this many float64 cells.
+_DELTA_CHUNK_CELLS = 4_000_000
 
 
 class SemiringOps(NamedTuple):
@@ -210,6 +225,95 @@ class _SegmentGroup:
         return np.append(self.segment_starts[1:], len(self.coefficients)).astype(np.intp)
 
 
+class _MonomialTable(NamedTuple):
+    """A compiled set factored into distinct monomials and coefficients.
+
+    Every monomial row of a width group is one of the group's distinct
+    ``(indices, exponents)`` factor rows; ``ids`` numbers them across groups.
+    ``coefficients[key, id]`` sums the coefficients a polynomial puts on
+    distinct monomial ``id``, so a row's total is ``coefficients @ monomial
+    values`` plus its constant.
+    """
+
+    #: Per group, the distinct factor rows ``(indices, exponents)`` and
+    #: whether any exponent differs from 1.
+    factors: Tuple[Tuple[np.ndarray, np.ndarray, bool], ...]
+    #: Per group, each monomial row's distinct id (numbered across groups).
+    ids: Tuple[np.ndarray, ...]
+    distinct: int
+    #: ``"dense"`` when the ``keys × distinct`` matrix holds no more cells
+    #: than the group arrays it summarises (Σ rows·(2·width+2)), else
+    #: ``"rows"`` (evaluation keeps walking the monomial rows).
+    layout: str
+    #: The C-contiguous ``keys × distinct`` matrix (dense layout only).
+    coefficients: Optional[np.ndarray]
+
+
+def _distinct_factor_rows(
+    indices: np.ndarray, exponents: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first row of each distinct factor row, each row's distinct id)``."""
+    # One lexsort over every column puts equal factor rows next to each other.
+    order = np.lexsort(tuple(exponents.T) + tuple(indices.T))
+    ordered_indices = indices[order]
+    ordered_exponents = exponents[order]
+    fresh = np.ones(len(order), dtype=np.bool_)
+    fresh[1:] = np.any(ordered_indices[1:] != ordered_indices[:-1], axis=1) | np.any(
+        ordered_exponents[1:] != ordered_exponents[:-1], axis=1
+    )
+    ids = np.empty(len(order), dtype=np.intp)
+    ids[order] = np.cumsum(fresh) - 1
+    return order[fresh], ids
+
+
+def _build_monomial_table(
+    groups: Sequence[_SegmentGroup], num_keys: int
+) -> _MonomialTable:
+    """Factor a compiled set's width groups into its monomial table."""
+    factors: List[Tuple[np.ndarray, np.ndarray, bool]] = []
+    ids: List[np.ndarray] = []
+    distinct = 0
+    cells = 0
+    for group in groups:
+        firsts, group_ids = _distinct_factor_rows(group.indices, group.exponents)
+        exponents = group.exponents[firsts]
+        factors.append(
+            (group.indices[firsts], exponents, bool(np.any(exponents != 1.0)))
+        )
+        ids.append(group_ids + distinct)
+        distinct += firsts.size
+        cells += group.indices.shape[0] * (2 * group.indices.shape[1] + 2)
+    if num_keys * distinct > cells:
+        return _MonomialTable(tuple(factors), tuple(ids), distinct, "rows", None)
+    flat = np.zeros(num_keys * distinct, dtype=np.float64)
+    for group, group_ids in zip(groups, ids):
+        rows = expand_segment_rows(
+            group.segment_starts, group.segment_rows, len(group.coefficients)
+        )
+        np.add.at(flat, rows * distinct + group_ids, group.coefficients)
+    return _MonomialTable(
+        tuple(factors),
+        tuple(ids),
+        distinct,
+        "dense",
+        flat.reshape(num_keys, distinct),
+    )
+
+
+def _scatter_plans(base: np.ndarray, plans: Sequence[DeltaPlanRow]) -> np.ndarray:
+    """The ``plans × variables`` value rows: ``base`` with each plan applied."""
+    matrix = np.tile(base, (len(plans), 1))
+    if len(plans):
+        sizes = [len(columns) for columns, _values in plans]
+        columns = np.concatenate([columns for columns, _values in plans])
+        values = np.concatenate([values for _columns, values in plans])
+        matrix[
+            np.repeat(np.arange(len(plans)), sizes),
+            columns.astype(np.intp, copy=False),
+        ] = values
+    return matrix
+
+
 class _DeltaState(NamedTuple):
     """Everything the delta kernels reuse for one base vector."""
 
@@ -253,6 +357,7 @@ class CompiledNumericSet(CompiledSemiringSet):
         "_groups",
         "_delta_index",
         "_delta_baseline",
+        "_table",
         "_fingerprint",
         "_store_path",
     )
@@ -261,6 +366,7 @@ class CompiledNumericSet(CompiledSemiringSet):
         ops = self.ops
         self._delta_index: Optional[Tuple[_DeltaIndexEntry, ...]] = None
         self._delta_baseline: List[_DeltaState] = []
+        self._table: Optional[_MonomialTable] = None
         self._fingerprint: Optional[str] = provenance.fingerprint()
         self._store_path: Optional[str] = None
         self._keys: Tuple[Tuple, ...] = provenance.keys()
@@ -488,14 +594,38 @@ class CompiledNumericSet(CompiledSemiringSet):
                 )
         return self._delta_index
 
-    def _delta_state(self, base_vector: np.ndarray) -> _DeltaState:
-        """Baseline-once state for ``base_vector`` (LRU over a few baselines)."""
+    def _monomial_table(self) -> _MonomialTable:
+        """The distinct-monomial table and coefficient operator (lazy).
+
+        Built from the group arrays, so in-memory, store-opened and unpickled
+        sets all get it; immutable once built, like :meth:`_delta_groups`.
+        """
+        if self._table is None:
+            with trace(
+                "compiled.monomial_table",
+                rows=sum(len(group.coefficients) for group in self._groups),
+                keys=len(self._keys),
+            ) as span:
+                table = _build_monomial_table(self._groups, len(self._keys))
+                span.update(
+                    {"distinct_monomials": table.distinct, "layout": table.layout}
+                )
+            self._table = table
+        return self._table
+
+    def _base_vector(self, base_vector: np.ndarray) -> np.ndarray:
+        """``base_vector`` as float64, checked against the variable count."""
         base_vector = np.asarray(base_vector, dtype=np.float64)
         if base_vector.shape != (len(self._variables),):
             raise ValueError(
                 f"expected a base vector of {len(self._variables)} variables, "
                 f"got shape {base_vector.shape}"
             )
+        return base_vector
+
+    def _delta_state(self, base_vector: np.ndarray) -> _DeltaState:
+        """Baseline-once state for ``base_vector`` (LRU over a few baselines)."""
+        base_vector = self._base_vector(base_vector)
         key = base_vector.tobytes()
         cache = self._delta_baseline
         for i, entry in enumerate(cache):
@@ -537,6 +667,77 @@ class CompiledProvenanceSet(CompiledNumericSet):
     backend_name = "real"
     ops = REAL_OPS
 
+    # -- the distinct-monomial fold (dense layout) ------------------------------
+
+    def _evaluate_values(self, values: np.ndarray) -> np.ndarray:
+        """Totals for one value vector or a ``scenarios × variables`` matrix.
+
+        In the monomial table's dense layout every distinct monomial is
+        evaluated once per row and folded with the coefficient operator;
+        otherwise the monomial rows are walked segment by segment.
+        """
+        table = self._monomial_table()
+        if table.coefficients is None:
+            return super()._evaluate_values(values)
+        # A vector is folded as a one-row matrix: the same code path, so a
+        # row's result never depends on how it was batched.
+        if values.ndim == 1:
+            row = values[np.newaxis]
+            return self._fold_monomials(table, table.coefficients, row).reshape(-1)
+        return self._fold_monomials(table, table.coefficients, values)
+
+    def _fold_monomials(
+        self, table: _MonomialTable, coefficients: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        """``rows × keys`` totals: monomial values (rows × distinct) → fold."""
+        monomials = np.empty((rows.shape[0], table.distinct), dtype=np.float64)
+        start = 0
+        for indices, exponents, powers in table.factors:
+            gathered = rows[:, indices]
+            if powers:
+                gathered = np.power(gathered, exponents)
+            stop = start + len(indices)
+            monomials[:, start:stop] = np.prod(gathered, axis=-1)
+            start = stop
+        # Row-independent by construction: each cell is one contiguous dot
+        # product over the distinct monomials (BLAS ``@`` is not — its
+        # blocking depends on the batch shape), and ``monomials`` is a fresh
+        # C-contiguous array, which keeps einsum's loop order fixed.
+        totals: np.ndarray = np.einsum("sd,kd->sk", monomials, coefficients)
+        totals += self._constant
+        finite = np.isfinite(monomials).all(axis=1)
+        if not finite.all():
+            # A non-finite monomial times the zero cells of the other keys
+            # would poison every total of its row; such rows walk the
+            # monomial rows instead, as without the table.
+            stray = ~finite
+            totals[stray] = super()._evaluate_values(rows[stray])
+        return totals
+
+    def dense_row_footprint(self) -> int:
+        """float64 cells one scenario row materialises in the dense kernels.
+
+        In the dense layout: the value row, the gathered factors and the
+        value of each distinct monomial, and the row's totals.
+        """
+        table = self._monomial_table()
+        if table.coefficients is None:
+            return super().dense_row_footprint()
+        cells = len(self._variables) + table.distinct + len(self._keys)
+        for indices, _exponents, _powers in table.factors:
+            cells += indices.size
+        return max(1, cells)
+
+    def baseline_totals(self, base_vector: np.ndarray) -> np.ndarray:
+        """The per-group results under ``base_vector`` (the sparse baseline).
+
+        In the dense layout this is the fold :meth:`evaluate_deltas` uses, so
+        a no-op scenario equals the baseline bit for bit.
+        """
+        if self._monomial_table().coefficients is None:
+            return super().baseline_totals(base_vector)
+        return self._evaluate_values(self._base_vector(base_vector))
+
     def evaluate_deltas(
         self, base_vector: np.ndarray, plans: Sequence[DeltaPlanRow]
     ) -> np.ndarray:
@@ -544,10 +745,38 @@ class CompiledProvenanceSet(CompiledNumericSet):
 
         Each plan is ``(changed_columns, new_values)`` over this set's
         variable order, with distinct columns per plan (what
-        :meth:`~repro.batch.planner.ScenarioBatch.delta_plan` emits).  The
-        base valuation is evaluated once; the whole
-        batch of scenarios is then answered with a handful of vectorised
-        passes over the *occurrences* of changed variables (via the inverted
+        :meth:`~repro.batch.planner.ScenarioBatch.delta_plan` emits).
+
+        In the monomial table's dense layout the plans are scattered into
+        full value rows and folded exactly as :meth:`evaluate_matrix` folds
+        them (a value row costs no more than its fold there: variables ≤
+        distinct monomials × width), in row chunks that bound the
+        temporaries.  Otherwise the ratio kernel answers them
+        (:meth:`_ratio_deltas`).  Returns the same ``scenarios × groups``
+        array the dense :meth:`evaluate_matrix` path produces for the
+        corresponding rows.
+        """
+        table = self._monomial_table()
+        if table.coefficients is None:
+            return self._ratio_deltas(base_vector, plans)
+        base = self._base_vector(base_vector)
+        out = np.empty((len(plans), len(self._keys)), dtype=np.float64)
+        step = max(1, _DELTA_CHUNK_CELLS // self.dense_row_footprint())
+        for start in range(0, len(plans), step):
+            piece = plans[start : start + step]
+            out[start : start + len(piece)] = self._fold_monomials(
+                table, table.coefficients, _scatter_plans(base, piece)
+            )
+        return out
+
+    def _ratio_deltas(
+        self, base_vector: np.ndarray, plans: Sequence[DeltaPlanRow]
+    ) -> np.ndarray:
+        """The rows-layout delta kernel (see :meth:`evaluate_deltas`).
+
+        The base valuation is evaluated once; the whole batch of scenarios
+        is then answered with a handful of vectorised passes over the
+        *occurrences* of changed variables (via the inverted
         variable→monomial index) — O(touched monomials), not O(monomials ×
         scenarios):
 
@@ -559,9 +788,6 @@ class CompiledProvenanceSet(CompiledNumericSet):
         * scenarios whose ratios misbehave (a zero, subnormal or otherwise
           over/underflowing base value) fall back to one exact full
           re-evaluation of their row.
-
-        Returns the same ``scenarios × groups`` array the dense
-        :meth:`evaluate_matrix` path produces for the corresponding rows.
         """
         index = self._delta_groups()
         state = self._delta_state(base_vector)

@@ -415,7 +415,9 @@ class ProvenanceSet:
     each result row changes under a hypothetical valuation.
     """
 
-    __slots__ = ("_polynomials", "_variables_cache", "_fingerprint_cache")
+    __slots__ = (
+        "_polynomials", "_variables_cache", "_size_cache", "_fingerprint_cache"
+    )
 
     def __init__(
         self,
@@ -423,6 +425,7 @@ class ProvenanceSet:
     ) -> None:
         self._polynomials: Dict[Tuple, Polynomial] = {}
         self._variables_cache: Optional[frozenset] = None
+        self._size_cache: Optional[int] = None
         self._fingerprint_cache: Optional[str] = None
         if polynomials:
             for key, polynomial in polynomials.items():
@@ -432,6 +435,7 @@ class ProvenanceSet:
 
     def _invalidate_caches(self) -> None:
         self._variables_cache = None
+        self._size_cache = None
         self._fingerprint_cache = None
 
     def __setitem__(self, key, polynomial: Polynomial) -> None:
@@ -481,8 +485,16 @@ class ProvenanceSet:
     # -- aggregate measures ---------------------------------------------------
 
     def size(self) -> int:
-        """Total number of monomials across all polynomials (provenance size)."""
-        return sum(p.num_monomials() for p in self._polynomials.values())
+        """Total number of monomials across all polynomials (provenance size).
+
+        Cached until mutation, like :meth:`variables`: batch reports read it
+        on every request.
+        """
+        if self._size_cache is None:
+            self._size_cache = sum(
+                p.num_monomials() for p in self._polynomials.values()
+            )
+        return self._size_cache
 
     def variables(self) -> frozenset:
         """Union of variables across all polynomials (cached until mutation).

@@ -404,6 +404,7 @@ def _open_store(path: str) -> CompiledNumericSet:
     compiled._groups = groups
     compiled._delta_index = tuple(delta_index)
     compiled._delta_baseline = []
+    compiled._table = None
     return compiled
 
 

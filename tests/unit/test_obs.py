@@ -398,3 +398,31 @@ class TestCompressionSpans:
         for name in ("kernel.init", "core.apply_abstraction"):
             self._assert_counts(spans[name], provenance)
         assert spans["kernel.init"].attributes["distinct_monomials"] == 33
+
+
+class TestMonomialTableSpan:
+    """The first real evaluation traces the monomial table and its layout."""
+
+    def test_span_records_rows_distinct_keys_and_layout(self, traced):
+        from repro.provenance.valuation import CompiledProvenanceSet
+        from repro.workloads.telephony import TelephonyConfig, generate_revenue_provenance
+
+        # Every zip is the same plan x month grid: 4 x 33 rows, 33 distinct.
+        provenance = generate_revenue_provenance(
+            TelephonyConfig(num_customers=200, num_zips=4, months=(1, 2, 3))
+        )
+        compiled = CompiledProvenanceSet(provenance)
+        compiled.evaluate_vector({name: 1.0 for name in compiled.variables})
+        compiled.evaluate_vector({name: 2.0 for name in compiled.variables})
+        spans = [
+            span
+            for root in traced.drain()
+            for span in root.walk()
+            if span.name == "compiled.monomial_table"
+        ]
+        assert len(spans) == 1  # built once, then reused
+        attributes = spans[0].attributes
+        assert attributes["rows"] == provenance.size()
+        assert attributes["distinct_monomials"] == 33
+        assert attributes["keys"] == len(provenance)
+        assert attributes["layout"] == "dense"

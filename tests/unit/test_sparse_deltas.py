@@ -141,6 +141,139 @@ class TestEvaluateDeltasKernels:
         np.testing.assert_allclose(got, expected)
 
 
+def _disjoint_provenance(keys):
+    """``keys`` polynomials on disjoint variables: distinct = rows = keys.
+
+    The table's layout rule compares keys × distinct (``keys²`` here) with
+    the cells of the group arrays (``4 · keys`` for width-1 rows), so four
+    keys sit exactly on the rule (dense) and five cross it (rows).
+    """
+    return ProvenanceSet(
+        {
+            (f"g{k}",): Polynomial({Monomial.of(f"x{k}"): 1.5 + k})
+            for k in range(keys)
+        }
+    )
+
+
+def _row_walk(compiled, matrix):
+    """The reference that walks every monomial row (no table)."""
+    from repro.provenance.backends.numeric import CompiledNumericSet
+
+    return CompiledNumericSet._evaluate_values(compiled, np.asarray(matrix))
+
+
+class TestMonomialTable:
+    def test_layout_follows_the_cell_rule(self):
+        at_rule = CompiledProvenanceSet(_disjoint_provenance(4))._monomial_table()
+        assert (at_rule.layout, at_rule.distinct) == ("dense", 4)
+        assert at_rule.coefficients.shape == (4, 4)
+        crossed = CompiledProvenanceSet(_disjoint_provenance(5))._monomial_table()
+        assert (crossed.layout, crossed.distinct) == ("rows", 5)
+        assert crossed.coefficients is None
+
+    @pytest.mark.parametrize("keys", [4, 5])
+    def test_both_layouts_match_the_row_walk(self, keys):
+        compiled = CompiledProvenanceSet(_disjoint_provenance(keys))
+        rng = np.random.default_rng(keys)
+        base = rng.uniform(0.5, 2.0, keys)
+        plans = _random_plans(keys, 20, rng)
+        matrix = _dense_rows(base, plans)
+        reference = _row_walk(compiled, matrix)
+        np.testing.assert_allclose(compiled.evaluate_matrix(matrix), reference, rtol=1e-12)
+        np.testing.assert_allclose(
+            compiled.evaluate_deltas(base, plans), reference, rtol=1e-12
+        )
+
+    def test_shared_monomials_are_evaluated_once(self):
+        provenance = _random_provenance(seed=9)
+        table = CompiledProvenanceSet(provenance)._monomial_table()
+        distinct = {m for _key, p in provenance.items() for m, _c in p.terms()}
+        distinct.discard(Monomial.unit())
+        assert table.distinct == len(distinct)
+        assert sum(ids.size for ids in table.ids) == provenance.size() - 1
+
+    @pytest.mark.parametrize(
+        "provenance",
+        [
+            ProvenanceSet(),
+            ProvenanceSet({("g",): Polynomial({})}),
+        ],
+        ids=["no-keys", "no-monomials"],
+    )
+    def test_sets_without_groups(self, provenance):
+        compiled = CompiledProvenanceSet(provenance)
+        keys = len(compiled.keys)
+        assert compiled.evaluate_matrix(np.zeros((3, 0))).shape == (3, keys)
+        assert compiled.baseline_totals(np.zeros(0)).shape == (keys,)
+        empty = (np.zeros(0, dtype=np.intp), np.zeros(0))
+        got = compiled.evaluate_deltas(np.zeros(0), [empty, empty])
+        np.testing.assert_array_equal(got, np.zeros((2, keys)))
+        assert compiled.evaluate_deltas(np.zeros(0), []).shape == (0, keys)
+
+    def test_constant_only_polynomials(self):
+        provenance = ProvenanceSet(
+            {
+                ("a",): Polynomial({Monomial.unit(): 3.0}),
+                ("b",): Polynomial({Monomial.unit(): -1.25}),
+            }
+        )
+        compiled = CompiledProvenanceSet(provenance)
+        assert compiled._monomial_table().distinct == 0
+        np.testing.assert_array_equal(
+            compiled.evaluate_matrix(np.zeros((2, 0))), [[3.0, -1.25]] * 2
+        )
+        assert compiled.evaluate({}) == {("a",): 3.0, ("b",): -1.25}
+
+    def test_zero_and_subnormal_base_values_are_exact(self):
+        provenance = _random_provenance(seed=10)
+        compiled = CompiledProvenanceSet(provenance)
+        assert compiled._monomial_table().layout == "dense"
+        rng = np.random.default_rng(11)
+        num_variables = len(compiled.variables)
+        base = rng.uniform(0.5, 2.0, num_variables)
+        base[::3] = 0.0
+        base[1::3] = 5e-324
+        plans = _random_plans(num_variables, 30, rng)
+        dense = compiled.evaluate_matrix(_dense_rows(base, plans))
+        # The dense layout folds scattered rows: no ratio, no fallback, so
+        # deltas equal the dense path bit for bit even across zeros.
+        np.testing.assert_array_equal(compiled.evaluate_deltas(base, plans), dense)
+        np.testing.assert_allclose(
+            dense, _row_walk(compiled, _dense_rows(base, plans)), rtol=1e-12, atol=1e-300
+        )
+
+    def test_higher_exponents(self):
+        provenance = ProvenanceSet(
+            {
+                ("p",): Polynomial(
+                    {Monomial({"a": 3, "b": 2}): 2.0, Monomial({"a": 1}): -1.0}
+                ),
+                ("q",): Polynomial({Monomial({"a": 3, "b": 2}): 0.5}),
+            }
+        )
+        compiled = CompiledProvenanceSet(provenance)
+        valuation = {"a": 1.5, "b": -0.75}
+        got = compiled.evaluate(valuation)
+        for key, polynomial in provenance.items():
+            assert got[key] == pytest.approx(polynomial.evaluate(valuation), rel=1e-12)
+
+    def test_non_finite_monomials_stay_in_their_keys(self):
+        # inf · 0 would turn every key of the row into nan if a non-finite
+        # monomial were folded through the zero cells of the other keys.
+        provenance = ProvenanceSet(
+            {
+                ("g",): Polynomial({Monomial.of("a"): 1.0}),
+                ("h",): Polynomial({Monomial.of("b"): 2.0}),
+            }
+        )
+        compiled = CompiledProvenanceSet(provenance)
+        matrix = np.array([[np.inf, 1.0], [np.nan, 3.0], [1.0, 1.0]])
+        got = compiled.evaluate_matrix(matrix)
+        np.testing.assert_array_equal(got, [[np.inf, 2.0], [np.nan, 6.0], [1.0, 2.0]])
+        np.testing.assert_array_equal(got[2], compiled.evaluate_matrix(matrix[2:])[0])
+
+
 class TestDeltaPlan:
     def test_changes_match_dense_matrix(self):
         variables = ("a", "b", "c", "d")

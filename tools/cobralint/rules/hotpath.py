@@ -46,6 +46,8 @@ KERNELS: Tuple[Tuple[str, str], ...] = (
     ("provenance/backends/numeric.py", "evaluate_matrix"),
     ("provenance/backends/numeric.py", "_evaluate_values"),
     ("provenance/backends/numeric.py", "evaluate_deltas"),
+    ("provenance/backends/numeric.py", "_ratio_deltas"),
+    ("provenance/backends/numeric.py", "_fold_monomials"),
     ("provenance/backends/numeric.py", "_delta_state"),
     ("provenance/backends/numeric.py", "_contributions"),
     ("provenance/backends/numeric.py", "_fold"),
